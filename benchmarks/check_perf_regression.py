@@ -56,7 +56,7 @@ Either way the guard catches exactly what it exists to catch: the
 subsystem becoming slower *relative to the same work done the obvious
 way on the same machine* (a new copy on the hot path, lock contention, a
 lost fast path).  A global slowdown that hits baseline and subsystem
-equally is covered elsewhere (``BENCH_kernels.json``, the tier-1 suite);
+equally is covered elsewhere (``perfbench/run.py``, the tier-1 suite);
 normaliser rows are reported but never gated.
 
 Usage (what the CI perf-guard job runs)::

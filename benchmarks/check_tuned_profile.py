@@ -28,7 +28,6 @@ from repro.hardware import fingerprint_matches, usable_cores
 from repro.serve.scorer import DEFAULT_CHUNK_ITEMS
 from repro.serve.service import DEFAULT_SERVICE_BATCH
 from repro.service.server import ServiceConfig
-from repro.sgd.kernels import KERNELS, resolve_kernel_name
 from repro.tune import (
     TunedProfile,
     resolve_foldin_batch_users,
@@ -76,12 +75,6 @@ def check_profile(path: str) -> int:
                 workers > 1,
                 "processes only pays for multi-worker runs",
             )
-        kernel = resolve_kernel_name("auto")
-        check(
-            "kernel",
-            kernel in KERNELS and kernel not in ("auto", "sequential"),
-            f"auto -> {kernel}",
-        )
         batch = TrainingConfig(batch_size="auto").effective_batch_size
         check("train batch_size", isinstance(batch, int) and batch >= 1, f"auto -> {batch}")
         chunk = resolve_serving_chunk_items("auto", DEFAULT_CHUNK_ITEMS)

@@ -35,7 +35,6 @@ from repro.datasets import SyntheticConfig, generate_synthetic_matrix, holdout_s
 from repro.core import factorize
 from repro.exec import resolve_backend_name
 from repro.serve import Scorer
-from repro.sgd.kernels import resolve_kernel_name
 from repro.tune import TunedProfile, run_tune, use_profile
 
 ITERATIONS = int(os.environ.get("REPRO_EXAMPLES_ITERATIONS", "3"))
@@ -73,10 +72,9 @@ def main() -> None:
     train, test = holdout_split(matrix, test_fraction=0.15, seed=3)
     with use_profile(loaded):
         backend = resolve_backend_name("auto", n_workers=None)
-        kernel = resolve_kernel_name("auto")
         batch = TrainingConfig(batch_size="auto").effective_batch_size
         print(
-            f"auto resolves  : backend={backend} kernel={kernel} batch_size={batch}"
+            f"auto resolves  : backend={backend} batch_size={batch}"
         )
         result = factorize(
             train,

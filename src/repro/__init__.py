@@ -79,7 +79,7 @@ from .stream import (
 )
 from .tune import TunedProfile, run_tune, set_active_profile, use_profile
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "BACKENDS",

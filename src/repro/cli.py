@@ -216,14 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--kernel",
-        default="auto",
+        default="minibatch_local",
         choices=KERNEL_NAMES,
         help=(
-            "SGD update kernel: 'auto' (default) uses the block-major local "
-            "kernel over pre-gathered band data, 'minibatch' the global-index "
-            "vectorised kernel (bitwise-identical), 'minibatch_local' forces "
-            "the local kernel, 'sequential' the exact per-rating reference "
-            "loop (slow)"
+            "SGD update kernel: 'minibatch_local' (default) is the block-major "
+            "mini-batch kernel over pre-gathered band data, 'sequential' the "
+            "exact per-rating reference loop (slow)"
         ),
     )
     train.add_argument(
@@ -1142,7 +1140,7 @@ def _run_tune(args: argparse.Namespace) -> None:
     t, s, st = profile.training, profile.serving, profile.stream
     print(
         f"training           : backend={t.backend} workers={t.workers} "
-        f"batch_size={t.batch_size} kernel={t.kernel}"
+        f"batch_size={t.batch_size}"
     )
     print(f"serving            : chunk_items={s.chunk_items} batch_size={s.batch_size}")
     print(

@@ -72,13 +72,11 @@ DEFAULT_BATCH_SIZE = 256
 #: :attr:`TrainingConfig.max_worker_restarts`).
 DEFAULT_MAX_WORKER_RESTARTS = 3
 
-#: The selectable SGD update kernels (see :mod:`repro.sgd.kernels`):
-#: ``"auto"`` picks the block-major local kernel whenever pre-gathered
-#: block data is available (it is bitwise-identical to ``"minibatch"``),
-#: ``"minibatch"`` forces the global-index vectorised kernel,
-#: ``"minibatch_local"`` forces the band-local kernel, and
-#: ``"sequential"`` forces the exact per-rating reference loop (slow).
-KERNEL_NAMES = ("auto", "minibatch", "minibatch_local", "sequential")
+#: The selectable SGD update kernels (see :mod:`repro.sgd.kernels`), one
+#: name per kernel: ``"minibatch_local"`` (the default) is the block-major
+#: mini-batch kernel over pre-gathered band-local data, ``"sequential"``
+#: the exact per-rating reference loop of Algorithm 1 (slow).
+KERNEL_NAMES = ("minibatch_local", "sequential")
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,9 @@ class TrainingConfig:
         (real concurrent worker threads; see :mod:`repro.exec`).
     kernel:
         SGD update kernel (one of :data:`KERNEL_NAMES`).  The default
-        ``"auto"`` selects the block-major local kernel, which consumes
-        per-block pre-gathered, pre-validated band-local arrays and is
-        bitwise-identical to the ``"minibatch"`` kernel.
+        ``"minibatch_local"`` is the block-major mini-batch kernel, which
+        consumes per-block pre-gathered, pre-validated band-local arrays;
+        ``"sequential"`` is the exact per-rating reference.
     batch_size:
         Mini-batch length of the vectorised kernels
         (:data:`DEFAULT_BATCH_SIZE` when ``None``).  ``"auto"`` resolves
@@ -141,7 +139,7 @@ class TrainingConfig:
     seed: int = 0
     init_scale: Optional[float] = None
     backend: str = "simulate"
-    kernel: str = "auto"
+    kernel: str = "minibatch_local"
     batch_size: Optional[Union[int, str]] = None
     max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS
 

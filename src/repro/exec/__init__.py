@@ -8,6 +8,8 @@ machinery built on top of it:
 * :mod:`repro.exec.session` — the stepwise session protocol
   (:class:`EngineSession`, :class:`EpochReport`): one ``step()`` per
   epoch, observable and stoppable between steps;
+* :mod:`repro.exec.ledger` — the :class:`~repro.exec.ledger.EpochLedger`
+  every backend's session keeps its epoch bookkeeping in;
 * :mod:`repro.exec.callbacks` — epoch-boundary callbacks
   (:class:`EarlyStopping`, :class:`Checkpoint`, :class:`JsonlLogger`,
   :class:`TimeBudget`);

@@ -20,13 +20,11 @@ backend-agnostic.  Which backend a run uses is selected with the
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from ..config import BACKENDS  # noqa: F401  (re-exported; validated there)
-from ..exceptions import ConfigurationError
 from .session import EngineSession, run_session
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.sim
@@ -71,24 +69,6 @@ class EngineResult:
         return self.trace.final_time
 
     @property
-    def simulated_time(self) -> float:
-        """Deprecated alias of :attr:`engine_time`.
-
-        .. deprecated:: 1.1
-           The name predates the real-execution backends, whose time base
-           is wall-clock rather than simulated seconds.  Use
-           :attr:`engine_time`; this alias warns and will be removed.
-        """
-        warnings.warn(
-            "EngineResult.simulated_time is deprecated (the threaded and "
-            "process backends measure wall-clock, not simulated, seconds); "
-            "use engine_time",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_time
-
-    @property
     def final_test_rmse(self) -> Optional[float]:
         """Test RMSE after the last completed iteration."""
         if not self.trace.iterations:
@@ -127,134 +107,41 @@ class WallClockResult(EngineResult):
         return self.trace.total_points() / self.trace.final_time
 
 
-#: Iteration cap applied when a run is bounded only by ``target_rmse``
-#: (or a time budget): far past any convergent training, it bounds the
-#: damage of a diverging run that can never reach its target.
-MAX_UNBOUNDED_ITERATIONS = 10_000
-
-
-def resolve_stopping_conditions(
-    iterations: Optional[int],
-    target_rmse: Optional[float],
-    max_simulated_time: Optional[float],
-    default_iterations: int,
-    has_test: bool,
-    error: type,
-) -> int:
-    """Shared ``run()`` preamble of every backend.
-
-    Validates that target-RMSE stopping has a test set to evaluate,
-    applies the default iteration count when no stopping condition was
-    given at all, and derives the effective iteration cap.  Keeping this
-    in one place is what keeps the backends' stopping semantics — and
-    hence the 1-worker sim-parity guarantee — in lockstep.
-
-    Returns the iteration cap of the run; raises ``error`` on an invalid
-    combination.
-    """
-    if target_rmse is not None and not has_test:
-        raise error("target_rmse stopping requires a test set")
-    if iterations is None and target_rmse is None and max_simulated_time is None:
-        iterations = default_iterations
-    return iterations if iterations is not None else MAX_UNBOUNDED_ITERATIONS
-
-
-def apply_task_updates(
-    model, train, task, rate, training, exact_kernel=False, store=None
-):
+def apply_task_updates(model, store, task, rate, training):
     """Apply one task's SGD updates to the shared factor matrices.
 
-    The single kernel-invocation point used by every backend: both
-    engines must issue byte-identical kernel calls or the 1-worker
-    sim-parity guarantee breaks.
-
-    When a :class:`~repro.sparse.BlockStore` is given (the engines'
-    default), the task's ratings come as pre-gathered, pre-validated,
-    band-local contiguous arrays and the kernels run with
-    ``validate=False``; without one, the legacy path gathers
-    ``train.*[indices]`` per call and the kernels re-validate.  The two
-    paths are bitwise-identical — the store only changes *where* the
-    gather and the validation happen (once per run instead of once per
-    task per epoch).
+    The single kernel-invocation point of the in-process engines: the
+    simulator and the thread pool must issue byte-identical kernel calls
+    or the 1-worker sim-parity guarantee breaks.  The task's ratings come
+    from the :class:`~repro.sparse.BlockStore` as pre-gathered,
+    pre-validated, band-local contiguous arrays.
     """
-    from ..sgd.kernels import resolve_kernel_name, sgd_block_minibatch, sgd_block_sequential
-
-    kernel_name = resolve_kernel_name(training.kernel, exact_kernel=exact_kernel)
-
-    if store is not None:
-        apply_block_data(
-            model.p, model.q, store.task_data(task), rate, training, kernel_name
-        )
-        return
-
-    if kernel_name == "minibatch_local" and training.kernel != "auto":
-        # "auto" degrades gracefully (that is its contract), but an
-        # explicitly forced local kernel without block-major data would
-        # silently run a different kernel than requested.
-        raise ConfigurationError(
-            'kernel="minibatch_local" requires the block-major data plane; '
-            'enable the block store or use kernel="minibatch" '
-            "(bitwise-identical)"
-        )
-    indices = task.indices()
-    if len(indices) == 0:
-        return
-    if kernel_name == "sequential":
-        kernel = sgd_block_sequential
-    else:
-        # Without block-major data the auto-selected local kernel has no
-        # band frame; the global mini-batch kernel is its
-        # bitwise-identical stand-in.
-        kernel = sgd_block_minibatch
-    if kernel_name == "sequential":
-        kernel(
-            model.p, model.q,
-            train.rows[indices], train.cols[indices], train.vals[indices],
-            rate, training.reg_p, training.reg_q,
-        )
-    else:
-        kernel(
-            model.p, model.q,
-            train.rows[indices], train.cols[indices], train.vals[indices],
-            rate, training.reg_p, training.reg_q,
-            batch_size=training.effective_batch_size,
-        )
+    apply_block_data(model.p, model.q, store.task_data(task), rate, training)
 
 
-def apply_block_data(p, q, data, rate, training, kernel_name):
+def apply_block_data(p, q, data, rate, training):
     """Apply one pre-gathered block record's SGD updates to ``p``/``q``.
 
     The store-fed half of :func:`apply_task_updates`, factored out so the
     process backend's workers — which hold shared-memory factor arrays
     and :class:`~repro.sparse.SharedBlockStore` records rather than a
     model and a task — issue byte-identical kernel calls to the in-process
-    engines.  ``kernel_name`` must already be resolved
-    (:func:`~repro.sgd.kernels.resolve_kernel_name`).
+    engines.  ``training.kernel`` selects the kernel.
     """
-    from ..sgd.kernels import (
-        sgd_block_minibatch,
-        sgd_block_minibatch_local,
-        sgd_block_sequential,
-    )
+    from ..sgd.kernels import sgd_block_minibatch_local, sgd_block_sequential
 
     if data.nnz == 0:
         return
-    if kernel_name == "sequential":
+    if training.kernel == "sequential":
         sgd_block_sequential(
             p, q, data.rows, data.cols, data.vals,
             rate, training.reg_p, training.reg_q, validate=False,
         )
-    elif kernel_name == "minibatch_local":
+    else:
         sgd_block_minibatch_local(
             p, q, data.local_rows, data.local_cols, data.vals,
             rate, training.reg_p, training.reg_q,
             data.row_range, data.col_range,
-            batch_size=training.effective_batch_size, validate=False,
-        )
-    else:
-        sgd_block_minibatch(
-            p, q, data.rows, data.cols, data.vals,
-            rate, training.reg_p, training.reg_q,
             batch_size=training.effective_batch_size, validate=False,
         )
 
@@ -291,7 +178,7 @@ class Engine(ABC):
             (defaults to ``training.iterations`` when neither a target
             RMSE nor a time budget is given).  Runs bounded only by a
             target RMSE or a time budget are additionally capped at
-            :data:`MAX_UNBOUNDED_ITERATIONS` epochs.  When resuming from
+            :data:`~repro.exec.ledger.MAX_UNBOUNDED_ITERATIONS` epochs.  When resuming from
             a checkpoint this is the *total* epoch cap, checkpointed
             epochs included.
         target_rmse:

@@ -77,20 +77,10 @@ from ..shm import SharedSegment
 from ..sparse import BlockStore, SharedBlockStore, SparseRatingMatrix
 from ..core.schedulers import Scheduler
 from ..core.tasks import Task
-from ..sim.trace import ExecutionTrace, IterationRecord, TaskRecord
-from .base import (
-    Engine,
-    WallClockResult,
-    apply_block_data,
-    resolve_stopping_conditions,
-)
-from .session import (
-    STOP_ITERATIONS,
-    STOP_TARGET_RMSE,
-    STOP_TIME_BUDGET,
-    EngineSession,
-    EpochReport,
-)
+from ..sim.trace import ExecutionTrace
+from .base import Engine, WallClockResult, apply_block_data
+from .ledger import Boundary, EpochLedger
+from .session import EngineSession, EpochReport
 from .threaded import IDLE_POLL_SECONDS
 
 #: Seconds ``finish()`` waits for a worker to exit after its shutdown
@@ -154,7 +144,6 @@ def _worker_main(
     factors: SharedFactorHandle,
     store_handle,
     training: TrainingConfig,
-    kernel_name: str,
     clock_start: float,
     task_queue,
     done_queue,
@@ -190,7 +179,7 @@ def _worker_main(
                 os.kill(os.getpid(), signal.SIGKILL)
             start = time.monotonic() - clock_start
             data = store.task_data(keys)
-            apply_block_data(model.p, model.q, data, rate, training, kernel_name)
+            apply_block_data(model.p, model.q, data, rate, training)
             data = None
             if mode == "kill_mid":
                 # Die after mutating shared factors but before reporting
@@ -255,40 +244,21 @@ class ProcessSession(EngineSession):
         pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
     ) -> None:
         self._engine = engine
-        self._max_iterations = resolve_stopping_conditions(
+        self._ledger = EpochLedger(
+            engine,
             iterations,
             target_rmse,
             max_simulated_time,
-            default_iterations=engine.training.iterations,
-            has_test=engine.test is not None,
             error=ExecutionError,
+            pause_on_epoch=pause_on_epoch,
         )
-        self._target_rmse = target_rmse
-        self._max_time = max_simulated_time
-        self._pause_on_epoch = pause_on_epoch
-
-        self._total_points = engine.scheduler.total_points
-        if self._total_points <= 0:
-            raise ExecutionError("the scheduler's grid contains no ratings")
-
-        self._trace = ExecutionTrace(target_rmse=target_rmse)
         self._launched = False
         self._restored = False
         self._paused = False
-        self._stopping = False
-        self._converged = False
-        self._stop_reason: Optional[str] = None
         self._error: Optional[BaseException] = None
         self._result: Optional[ProcessResult] = None
         self._in_flight: Dict[int, Task] = {}
-        self._points_completed = 0
-        self._iteration = 0
-        self._iteration_target = self._total_points
-        self._deadline: Optional[float] = None
         self._clock_start = 0.0
-        self._last_event = 0.0
-        self._time_offset = 0.0
-        self._reports: List[EpochReport] = []
 
         # Fault tolerance (see "Supervision and recovery" below).
         self._worker_restarts = 0
@@ -296,11 +266,9 @@ class ProcessSession(EngineSession):
         self._recovering = False
         self._fault_plan = None
         self._snapshot: Optional[dict] = None
-        self._snapshot_stage: Optional[dict] = None
 
         # Pool / shared-memory state (populated by _launch).
         self._ctx = None
-        self._kernel_name: Optional[str] = None
         self._factor_handle: Optional[SharedFactorHandle] = None
         self._procs: List = []
         self._task_queues: List = []
@@ -321,19 +289,19 @@ class ProcessSession(EngineSession):
 
     @property
     def epoch(self) -> int:
-        return self._iteration
+        return self._ledger.iteration
 
     @property
     def done(self) -> bool:
         if self._result is not None:
             return True
-        if self._reports:
+        if self._ledger.reports:
             return False
-        return self._stopping or self._error is not None
+        return self._ledger.stopping or self._error is not None
 
     @property
     def trace(self) -> ExecutionTrace:
-        return self._trace
+        return self._ledger.trace
 
     @property
     def backend_name(self) -> str:
@@ -344,25 +312,18 @@ class ProcessSession(EngineSession):
         return self._launched
 
     def stop(self, reason: str = "callback") -> None:
-        if not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = reason
+        self._ledger.stop(reason)
         self._paused = False
 
     def step(self) -> Optional[EpochReport]:
-        if self._reports:
-            return self._reports.pop(0)
-        if self._result is not None or self._stopping or self._error is not None:
-            return None
-        if self._iteration >= self._max_iterations:
-            # Only reachable on a restored session: a checkpoint taken at
-            # (or past) this run's epoch cap has nothing left to do.
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_ITERATIONS
+        ledger = self._ledger
+        if ledger.reports:
+            return ledger.reports.pop(0)
+        if self._result is not None or ledger.stopping or self._error is not None:
             return None
         if not self._launched:
+            if ledger.at_cap():
+                return None
             self._launch()
         self._paused = False
         return self._pump_until_report()
@@ -370,12 +331,7 @@ class ProcessSession(EngineSession):
     def finish(self) -> ProcessResult:
         if self._result is not None:
             return self._result
-        if not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                # finish() before any stopping condition fired: the
-                # caller is abandoning the run.
-                self._stop_reason = "aborted"
+        self._ledger.abandon()
         self._paused = False
         if self._launched:
             try:
@@ -392,13 +348,8 @@ class ProcessSession(EngineSession):
                 f"a worker process failed: {self._error!r}"
             ) from self._error
 
-        self._trace.final_time = self._last_event
-        self._result = ProcessResult(
-            model=self._engine.model,
-            trace=self._trace,
-            converged=self._converged,
-            stop_reason=self._stop_reason or STOP_ITERATIONS,
-            worker_restarts=self._worker_restarts,
+        self._result = self._ledger.result(
+            ProcessResult, self._engine.model, worker_restarts=self._worker_restarts
         )
         return self._result
 
@@ -413,52 +364,25 @@ class ProcessSession(EngineSession):
                 "pause_on_epoch=True (the Checkpoint callback does this "
                 "automatically)"
             )
-        if self._launched and not (self._paused or self._stopping):
+        if self._launched and not (self._paused or self._ledger.stopping):
             raise CheckpointError(
                 "a process session can only be checkpointed while paused at "
                 "an epoch boundary (pause_on_epoch=True)"
             )
-        return {
-            "iteration": self._iteration,
-            "iteration_target": self._iteration_target,
-            "points_completed": self._points_completed,
-            "now": self._last_event,
-            "seq": len(self._trace.tasks),
-            "converged": self._converged,
-            "idle_workers": [],
-            "pending_dispatch": None,
-            "in_flight": [],
-            "pending_reports": [report.to_state() for report in self._reports],
-        }
+        return self._ledger.state_dict()
 
     def load_state_dict(self, state: dict) -> None:
         if self._launched:
             raise CheckpointError(
                 "session state can only be restored before the first step()"
             )
-        if state["in_flight"]:
-            raise CheckpointError(
-                "this checkpoint carries simulated in-flight tasks (it was "
-                "captured from a multi-worker simulator run); resume it on "
-                'the "simulate" backend'
-            )
+        self._ledger.load_state_dict(state)
         self._restored = True
-        self._iteration = int(state["iteration"])
-        self._iteration_target = int(state["iteration_target"])
-        self._points_completed = int(state["points_completed"])
-        self._converged = bool(state["converged"])
-        self._time_offset = float(state["now"])
-        self._last_event = float(state["now"])
-        self._reports = [
-            EpochReport.from_state(report) for report in state["pending_reports"]
-        ]
 
     # ------------------------------------------------------------------ #
     # Launch / teardown
     # ------------------------------------------------------------------ #
     def _launch(self) -> None:
-        from ..sgd.kernels import resolve_kernel_name
-
         engine = self._engine
         self._launched = True
         if not self._restored:
@@ -468,25 +392,19 @@ class ProcessSession(EngineSession):
             self._shared_store = engine._store.to_shared(
                 engine.scheduler.grid.iter_blocks()
             )
-            self._clock_start = time.monotonic() - self._time_offset
-            if self._max_time is not None:
-                self._deadline = self._clock_start + self._max_time
+            self._clock_start = time.monotonic() - self._ledger.last_completion
 
             self._ctx = multiprocessing.get_context(engine.start_method)
             self._done_queue = self._ctx.Queue()
-            self._kernel_name = resolve_kernel_name(
-                engine.training.kernel, exact_kernel=engine.exact_kernel
-            )
             self._fault_plan = faults.active_plan()
             for index in range(engine.n_workers):
                 self._spawn_worker(index)
             # The recovery baseline before any task is dispatched: a
             # worker death in the first epoch rolls back to here.
-            self._stage_recovery_snapshot()
-            self._finalize_recovery_snapshot()
+            self._finalize_recovery_snapshot(self._stage_recovery_snapshot())
         except BaseException:
             # A failed launch must not leak segments or processes.
-            self._stopping = True
+            self._ledger.stop("error")
             self._shutdown_workers()
             self._teardown_shared()
             raise
@@ -508,7 +426,6 @@ class ProcessSession(EngineSession):
                 self._factor_handle,
                 self._shared_store.handle,
                 engine.training,
-                self._kernel_name,
                 self._clock_start,
                 task_queue,
                 self._done_queue,
@@ -615,18 +532,8 @@ class ProcessSession(EngineSession):
     # ------------------------------------------------------------------ #
     # Controller pump
     # ------------------------------------------------------------------ #
-    def _should_pause(self, epoch: int) -> bool:
-        if callable(self._pause_on_epoch):
-            return bool(self._pause_on_epoch(epoch))
-        return bool(self._pause_on_epoch)
-
-    def _elapsed_deadline(self) -> bool:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_TIME_BUDGET
-            return True
-        return False
+    def _over_budget(self) -> bool:
+        return self._ledger.over_budget(time.monotonic() - self._clock_start)
 
     def _pump_until_report(self) -> Optional[EpochReport]:
         while True:
@@ -640,16 +547,16 @@ class ProcessSession(EngineSession):
             self._ensure_workers_alive()
             if self._error is not None:
                 return None
-            if not self._paused and not self._stopping:
+            if not self._paused and not self._ledger.stopping:
                 self._dispatch_free_workers()
-            if self._reports:
+            if self._ledger.reports:
                 if self._paused:
                     # Quiesce: the boundary asked for a pause, so drain
                     # the in-flight remainder before handing control to
                     # the caller (checkpoints need a still run).
                     self._drain_in_flight()
-                return self._reports.pop(0)
-            if self._stopping:
+                return self._ledger.reports.pop(0)
+            if self._ledger.stopping:
                 return None
             if not self._in_flight:
                 # Nobody holds a task and dispatch produced none: no
@@ -670,7 +577,7 @@ class ProcessSession(EngineSession):
             # that are being replaced; recovery re-dispatches via the
             # pump once the pool is whole again.
             return
-        if self._elapsed_deadline():
+        if self._over_budget():
             return
         for worker_index in range(engine.n_workers):
             if worker_index in self._in_flight:
@@ -679,7 +586,7 @@ class ProcessSession(EngineSession):
             if task is None:
                 continue
             self._in_flight[worker_index] = task
-            rate = engine.schedule(self._iteration)
+            rate = engine.schedule(self._ledger.iteration)
             sleep_s = engine._gpu_sleep_seconds(worker_index, task)
             keys = tuple(
                 (int(block.row_band), int(block.col_band)) for block in task.blocks
@@ -711,7 +618,7 @@ class ProcessSession(EngineSession):
                     message = self._done_queue.get_nowait()
             except queue.Empty:
                 if first and block:
-                    self._elapsed_deadline()
+                    self._over_budget()
                     self._ensure_workers_alive()
                 return
             first = False
@@ -742,7 +649,7 @@ class ProcessSession(EngineSession):
     # (its completion already booked, nothing in flight) is respawned
     # without any rollback.
 
-    def _stage_recovery_snapshot(self) -> None:
+    def _stage_recovery_snapshot(self) -> dict:
         """Capture factors + scheduler state at an epoch boundary.
 
         Called right after ``start_iteration()`` and *before* freed
@@ -752,30 +659,21 @@ class ProcessSession(EngineSession):
         snapshot survives any number of rollbacks.
         """
         model = self._engine.model
-        self._snapshot_stage = {
+        return {
             "p": np.array(model.p, copy=True),
             "q": np.array(model.q, copy=True),
             "scheduler": self._engine.scheduler.state_dict(),
         }
 
-    def _finalize_recovery_snapshot(self) -> None:
-        """Seal the staged snapshot with counters and trace lengths.
+    def _finalize_recovery_snapshot(self, snapshot: dict) -> None:
+        """Seal a staged snapshot with the ledger's state and install it.
 
         Runs at the *end* of boundary processing, after the boundary's
         iteration record is written — a rollback must keep that record
         (it describes the epoch being rolled back *to*, and would never
         be regenerated).
         """
-        snapshot = self._snapshot_stage
-        self._snapshot_stage = None
-        snapshot.update(
-            iteration=self._iteration,
-            iteration_target=self._iteration_target,
-            points_completed=self._points_completed,
-            converged=self._converged,
-            n_tasks=len(self._trace.tasks),
-            n_iterations=len(self._trace.iterations),
-        )
+        snapshot["ledger"] = self._ledger.snapshot()
         self._snapshot = snapshot
 
     def _restore_recovery_snapshot(self) -> None:
@@ -785,22 +683,13 @@ class ProcessSession(EngineSession):
         lock has been released via ``abort_task`` — lock occupancy is
         not part of scheduler state (it is implied by in-flight tasks),
         so restoring under held locks would wedge the replay.
-        ``self._reports`` is deliberately untouched: already-produced
-        reports describe boundaries at or before the snapshot and must
-        not be re-delivered or dropped.  ``_last_event`` is wall-clock
-        and keeps advancing through a rollback.
         """
         snapshot = self._snapshot
         model = self._engine.model
         model.p[...] = snapshot["p"]
         model.q[...] = snapshot["q"]
         self._engine.scheduler.load_state_dict(snapshot["scheduler"])
-        self._iteration = int(snapshot["iteration"])
-        self._iteration_target = int(snapshot["iteration_target"])
-        self._points_completed = int(snapshot["points_completed"])
-        self._converged = bool(snapshot["converged"])
-        del self._trace.tasks[snapshot["n_tasks"] :]
-        del self._trace.iterations[snapshot["n_iterations"] :]
+        self._ledger.rollback(snapshot["ledger"])
 
     def _dead_workers(self) -> Set[int]:
         return {
@@ -825,7 +714,7 @@ class ProcessSession(EngineSession):
         for worker_index in list(self._in_flight):
             self._engine.scheduler.abort_task(self._in_flight.pop(worker_index))
         self._error = ExecutionError(
-            f"{details} died at epoch {self._iteration} and the worker "
+            f"{details} died at epoch {self._ledger.iteration} and the worker "
             f"restart budget is exhausted ({self._worker_restarts} of "
             f"{budget} restart(s) used); raise "
             f"TrainingConfig.max_worker_restarts to tolerate more failures"
@@ -924,36 +813,19 @@ class ProcessSession(EngineSession):
             self._recovering = False
 
     def _book_completion(self, worker_index: int, start: float, end: float) -> None:
-        engine = self._engine
         task = self._in_flight.pop(worker_index, None)
         if task is None:  # pragma: no cover - defensive
             raise ExecutionError(
                 f"completion from worker {worker_index} with no task in flight"
             )
-        engine.scheduler.complete_task(task)
-        self._points_completed += task.nnz
-        self._last_event = max(self._last_event, end)
-        self._trace.record_task(
-            TaskRecord(
-                worker_index=worker_index,
-                is_gpu=engine.scheduler.is_gpu_worker(worker_index),
-                start_time=start,
-                end_time=end,
-                points=task.nnz,
-                n_blocks=len(task.blocks),
-                stolen=task.stolen,
-                iteration=self._iteration,
-            )
-        )
-        self._elapsed_deadline()
-        while (
-            self._points_completed >= self._iteration_target and not self._stopping
-        ):
-            self._process_boundary()
+        self._ledger.complete_task(task, worker_index, start, end)
+        self._over_budget()
+        while (boundary := self._ledger.advance()) is not None:
+            self._process_boundary(boundary)
 
-    def _process_boundary(self) -> None:
-        """Advance one epoch boundary (same accounting as the other
-        backends: counters and quota reset first, then RMSE).
+    def _process_boundary(self, boundary: Boundary) -> None:
+        """Close one advanced epoch boundary (counters and quota reset
+        already happened in :meth:`EpochLedger.advance`; RMSE here).
 
         With several workers the freed ones are re-dispatched *before*
         the RMSE evaluation so they crunch the next epoch while the
@@ -965,19 +837,12 @@ class ProcessSession(EngineSession):
         to the serial simulator.
         """
         engine = self._engine
-        index = self._iteration
-        points = self._points_completed
-        stamp = self._last_event
-        self._iteration += 1
-        self._iteration_target += self._total_points
-        engine.scheduler.start_iteration()
         # Stage the recovery snapshot before any next-epoch dispatch:
         # with one worker the run is quiescent here, so the snapshot is
         # exact (the bitwise rollback-replay guarantee); with several,
         # still-running kernels make it approximate (RMSE-equivalent).
-        self._stage_recovery_snapshot()
-        pause_here = self._should_pause(index)
-        if pause_here:
+        snapshot = self._stage_recovery_snapshot()
+        if self._ledger.should_pause(boundary.epoch):
             self._paused = True
         elif engine.n_workers > 1 and not self._paused:
             self._dispatch_free_workers()
@@ -986,37 +851,8 @@ class ProcessSession(EngineSession):
         train_rmse = (
             rmse(engine.model, engine.train) if engine.compute_train_rmse else None
         )
-        self._trace.record_iteration(
-            IterationRecord(
-                iteration=index,
-                simulated_time=stamp,
-                train_rmse=train_rmse,
-                test_rmse=test_rmse,
-                points_processed=points,
-            )
-        )
-        if self._target_rmse is not None and test_rmse is not None:
-            if test_rmse <= self._target_rmse:
-                self._converged = True
-                self._trace.target_reached_at = stamp
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_TARGET_RMSE
-        if self._iteration >= self._max_iterations and not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_ITERATIONS
-        self._reports.append(
-            EpochReport(
-                epoch=index,
-                engine_time=stamp,
-                train_rmse=train_rmse,
-                test_rmse=test_rmse,
-                points_processed=points,
-                converged=self._converged,
-            )
-        )
-        self._finalize_recovery_snapshot()
+        self._ledger.close(boundary, test_rmse, train_rmse)
+        self._finalize_recovery_snapshot(snapshot)
 
     def _drain_in_flight(self) -> None:
         """Book every outstanding completion (no new dispatch).
@@ -1080,18 +916,11 @@ class ProcessEngine(Engine):
     platform:
         Optional simulated platform; only consulted for
         ``gpu_latency_scale``.
-    exact_kernel:
-        Use the exact per-rating kernel (slow; for small validation runs).
     compute_train_rmse:
         Also record training RMSE at iteration boundaries.
     gpu_latency_scale:
         As in :class:`ThreadedEngine`: make "GPU" workers sleep for this
         fraction of their simulated device time per task.
-    use_block_store:
-        Must remain ``True``: the shared-memory data plane *is* how
-        rating data reaches the workers.  (The legacy gather-per-task
-        path would mean pickling index arrays per task — the copy tax
-        this backend exists to kill.)
     start_method:
         ``multiprocessing`` start method (``"fork"`` where available by
         default; ``"spawn"`` and ``"forkserver"`` also work — workers
@@ -1109,10 +938,8 @@ class ProcessEngine(Engine):
         model: Optional[FactorModel] = None,
         schedule: Optional[LearningRateSchedule] = None,
         platform: Optional[HeterogeneousPlatform] = None,
-        exact_kernel: bool = False,
         compute_train_rmse: bool = False,
         gpu_latency_scale: float = 0.0,
-        use_block_store: bool = True,
         start_method: Optional[str] = None,
     ) -> None:
         if not process_backend_supported():  # pragma: no cover - exotic platforms
@@ -1131,13 +958,6 @@ class ProcessEngine(Engine):
             )
         if gpu_latency_scale > 0 and platform is None:
             raise ExecutionError("gpu_latency_scale needs a platform for timing")
-        if not use_block_store:
-            raise ExecutionError(
-                'the "processes" backend requires the block-major data plane '
-                "(its shared-memory segments are the only zero-copy channel "
-                "for rating data); use the threads backend to benchmark the "
-                "legacy gather path"
-            )
         if start_method is not None:
             if start_method not in multiprocessing.get_all_start_methods():
                 raise ExecutionError(
@@ -1152,7 +972,6 @@ class ProcessEngine(Engine):
         self.model = model or FactorModel.for_matrix(train, training)
         self.schedule = schedule or ConstantSchedule(training.learning_rate)
         self.platform = platform
-        self.exact_kernel = exact_kernel
         self.compute_train_rmse = compute_train_rmse
         self.gpu_latency_scale = gpu_latency_scale
         self.start_method = start_method or _default_start_method()

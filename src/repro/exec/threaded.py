@@ -52,20 +52,10 @@ from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
 from ..sparse import BlockStore, SparseRatingMatrix
 from ..core.schedulers import Scheduler
 from ..core.tasks import Task
-from ..sim.trace import ExecutionTrace, IterationRecord, TaskRecord
-from .base import (
-    Engine,
-    WallClockResult,
-    apply_task_updates,
-    resolve_stopping_conditions,
-)
-from .session import (
-    STOP_ITERATIONS,
-    STOP_TARGET_RMSE,
-    STOP_TIME_BUDGET,
-    EngineSession,
-    EpochReport,
-)
+from ..sim.trace import ExecutionTrace
+from .base import Engine, WallClockResult, apply_task_updates
+from .ledger import Boundary, EpochLedger
+from .session import EngineSession, EpochReport
 
 #: Seconds an idle worker waits before re-polling the scheduler.  Idle
 #: workers are also woken explicitly whenever a task completes, so this
@@ -82,12 +72,14 @@ class ThreadedResult(WallClockResult):
 class ThreadedSession(EngineSession):
     """One threaded run, observed (and optionally paused) per epoch.
 
-    Shared run state is guarded by one condition variable.  Workers wait
-    on the condition while no conflict-free work exists for them — or,
-    in ``pause_on_epoch`` mode, while the controller holds the run at an
-    epoch boundary — and are woken by every completion (which may have
-    released the bands or quota they need) and by every controller
-    ``step()``/``stop()``/``finish()``.
+    Shared run state — the session's own flags and its
+    :class:`~repro.exec.ledger.EpochLedger` — is guarded by one
+    condition variable.  Workers wait on the condition while no
+    conflict-free work exists for them — or, in ``pause_on_epoch`` mode,
+    while the controller holds the run at an epoch boundary — and are
+    woken by every completion (which may have released the bands or
+    quota they need) and by every controller ``step()``/``stop()``/
+    ``finish()``.
     """
 
     def __init__(
@@ -99,46 +91,25 @@ class ThreadedSession(EngineSession):
         pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
     ) -> None:
         self._engine = engine
-        self._max_iterations = resolve_stopping_conditions(
+        self._ledger = EpochLedger(
+            engine,
             iterations,
             target_rmse,
             max_simulated_time,
-            default_iterations=engine.training.iterations,
-            has_test=engine.test is not None,
             error=ExecutionError,
+            pause_on_epoch=pause_on_epoch,
         )
-        self._target_rmse = target_rmse
-        self._max_time = max_simulated_time
-        self._pause_on_epoch = pause_on_epoch
-
-        self._total_points = engine.scheduler.total_points
-        if self._total_points <= 0:
-            raise ExecutionError("the scheduler's grid contains no ratings")
-
-        self._trace = ExecutionTrace(target_rmse=target_rmse)
         self._cond = threading.Condition()
         self._threads: List[threading.Thread] = []
         self._launched = False
         self._restored = False
         self._paused = False
-        self._stopping = False
-        self._converged = False
-        self._stop_reason: Optional[str] = None
         self._error: Optional[BaseException] = None
         self._result: Optional[ThreadedResult] = None
         self._in_flight = 0
         self._boundary_busy = False
         self._idle: set = set()
-        self._points_completed = 0
-        self._iteration = 0
-        self._iteration_target = self._total_points
-        self._deadline: Optional[float] = None
         self._clock_start = 0.0
-        self._last_event = 0.0
-        #: Engine seconds accumulated by a restored checkpoint's prefix;
-        #: shifts the clock so resumed timestamps continue monotonically.
-        self._time_offset = 0.0
-        self._reports: List[EpochReport] = []
 
     # ------------------------------------------------------------------ #
     # Protocol surface
@@ -150,20 +121,20 @@ class ThreadedSession(EngineSession):
     @property
     def epoch(self) -> int:
         with self._cond:
-            return self._iteration
+            return self._ledger.iteration
 
     @property
     def done(self) -> bool:
         with self._cond:
             if self._result is not None:
                 return True
-            if self._reports:
+            if self._ledger.reports:
                 return False
-            return self._stopping or (self._launched and self._run_over_locked())
+            return self._stop_settled_locked() or self._run_over_locked()
 
     @property
     def trace(self) -> ExecutionTrace:
-        return self._trace
+        return self._ledger.trace
 
     @property
     def backend_name(self) -> str:
@@ -175,31 +146,21 @@ class ThreadedSession(EngineSession):
 
     def stop(self, reason: str = "callback") -> None:
         with self._cond:
-            if not self._stopping:
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = reason
+            self._ledger.stop(reason)
             self._paused = False
             self._cond.notify_all()
 
     def step(self) -> Optional[EpochReport]:
+        ledger = self._ledger
         with self._cond:
             # Queued reports (several boundaries can pass between steps,
             # or one huge task can cross more than one) are delivered
             # without touching the pause state.
-            if self._reports:
-                return self._reports.pop(0)
-            if self._result is not None or self._stopping:
+            if ledger.reports:
+                return ledger.reports.pop(0)
+            if self._result is not None:
                 return None
-            if self._iteration >= self._max_iterations:
-                # Only reachable on a restored session: a checkpoint taken
-                # at (or past) this run's epoch cap has nothing left to
-                # do.  A live run sets _stopping at the boundary that
-                # reaches the cap.
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_ITERATIONS
-                self._cond.notify_all()
+            if not self._launched and (ledger.stopping or ledger.at_cap()):
                 return None
         if not self._launched:
             self._launch()
@@ -207,11 +168,11 @@ class ThreadedSession(EngineSession):
             # Resume the pool — unless a boundary already queued a report
             # (a fast worker can reach one before the controller gets
             # here), in which case the pause it set must stand.
-            if not self._reports:
+            if not ledger.reports:
                 self._paused = False
                 self._cond.notify_all()
             while True:
-                if self._reports:
+                if ledger.reports:
                     if self._paused:
                         # The boundary owner set _paused before queueing
                         # the report; wait for in-flight tasks to drain
@@ -219,10 +180,10 @@ class ThreadedSession(EngineSession):
                         # the pause predicate skipped keep running.
                         while self._in_flight > 0 and self._error is None:
                             self._cond.wait(IDLE_POLL_SECONDS)
-                    return self._reports.pop(0)
+                    return ledger.reports.pop(0)
                 if self._error is not None:
                     return None
-                if self._run_over_locked():
+                if self._stop_settled_locked() or self._run_over_locked():
                     return None
                 self._cond.wait(IDLE_POLL_SECONDS)
 
@@ -230,12 +191,7 @@ class ThreadedSession(EngineSession):
         if self._result is not None:
             return self._result
         with self._cond:
-            if not self._stopping:
-                self._stopping = True
-                if self._stop_reason is None:
-                    # finish() before any stopping condition fired: the
-                    # caller is abandoning the run.
-                    self._stop_reason = "aborted"
+            self._ledger.abandon()
             self._paused = False
             self._cond.notify_all()
         for thread in self._threads:
@@ -248,13 +204,7 @@ class ThreadedSession(EngineSession):
                 f"a worker thread failed: {self._error!r}"
             ) from self._error
 
-        self._trace.final_time = self._last_event
-        self._result = ThreadedResult(
-            model=self._engine.model,
-            trace=self._trace,
-            converged=self._converged,
-            stop_reason=self._stop_reason or STOP_ITERATIONS,
-        )
+        self._result = self._ledger.result(ThreadedResult, self._engine.model)
         return self._result
 
     # ------------------------------------------------------------------ #
@@ -270,57 +220,32 @@ class ThreadedSession(EngineSession):
                     "automatically)"
                 )
             if self._launched and not (
-                self._paused or self._run_over_locked() or self._stopping
+                self._paused or self._run_over_locked() or self._ledger.stopping
             ):
                 raise CheckpointError(
                     "a threaded session can only be checkpointed while "
                     "paused at an epoch boundary (pause_on_epoch=True)"
                 )
-            return {
-                "iteration": self._iteration,
-                "iteration_target": self._iteration_target,
-                "points_completed": self._points_completed,
-                "now": self._last_event,
-                "seq": len(self._trace.tasks),
-                "converged": self._converged,
-                "idle_workers": [],
-                "pending_dispatch": None,
-                "in_flight": [],
-                "pending_reports": [
-                    report.to_state() for report in self._reports
-                ],
-            }
+            return self._ledger.state_dict()
 
     def load_state_dict(self, state: dict) -> None:
         if self._launched:
             raise CheckpointError(
                 "session state can only be restored before the first step()"
             )
-        if state["in_flight"]:
-            raise CheckpointError(
-                "this checkpoint carries simulated in-flight tasks (it was "
-                "captured from a multi-worker simulator run); resume it on "
-                'the "simulate" backend'
-            )
+        self._ledger.load_state_dict(state)
         self._restored = True
-        self._iteration = int(state["iteration"])
-        self._iteration_target = int(state["iteration_target"])
-        self._points_completed = int(state["points_completed"])
-        self._converged = bool(state["converged"])
-        self._time_offset = float(state["now"])
-        self._last_event = float(state["now"])
-        self._reports = [
-            EpochReport.from_state(report) for report in state["pending_reports"]
-        ]
 
     # ------------------------------------------------------------------ #
     # Pool management
     # ------------------------------------------------------------------ #
-    def _should_pause(self, epoch: int) -> bool:
-        """Whether the boundary of 0-based ``epoch`` must quiesce the pool."""
-        if callable(self._pause_on_epoch):
-            return bool(self._pause_on_epoch(epoch))
-        return bool(self._pause_on_epoch)
+    def _stop_settled_locked(self) -> bool:
+        """Whether the run is stopping with no boundary left to report.
+
+        A boundary opened before the stop still closes and queues its
+        report (it is already in the trace), so ``step()`` waits for it.
+        """
+        return self._ledger.stopping and not self._boundary_busy
 
     def _run_over_locked(self) -> bool:
         """Whether every worker thread has exited (lock held or not needed)."""
@@ -335,9 +260,7 @@ class ThreadedSession(EngineSession):
         # A restored session shifts the clock back by the checkpointed
         # engine time so wall-clock stamps (and the time budget) continue
         # where the previous run left off.
-        self._clock_start = time.monotonic() - self._time_offset
-        if self._max_time is not None:
-            self._deadline = self._clock_start + self._max_time
+        self._clock_start = time.monotonic() - self._ledger.last_completion
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -357,7 +280,6 @@ class ThreadedSession(EngineSession):
         return time.monotonic() - self._clock_start
 
     def _worker_loop(self, worker_index: int) -> None:
-        is_gpu = self._engine.scheduler.is_gpu_worker(worker_index)
         while True:
             with self._cond:
                 try:
@@ -374,7 +296,7 @@ class ThreadedSession(EngineSession):
                     return
             start = self._elapsed()
             try:
-                self._execute_task(task, rate_iteration, is_gpu)
+                self._execute_task(task, rate_iteration)
             except BaseException as exc:  # propagate to finish()
                 with self._cond:
                     self._engine.scheduler.abort_task(task)
@@ -384,12 +306,10 @@ class ThreadedSession(EngineSession):
                     self._cond.notify_all()
                 return
             end = self._elapsed()
-            owns_boundary = False
+            boundary = None
             with self._cond:
                 try:
-                    owns_boundary = self._book_completion(
-                        worker_index, is_gpu, task, start, end
-                    )
+                    boundary = self._book_completion(worker_index, task, start, end)
                 except BaseException as exc:
                     # Completion bookkeeping failed: surface the error
                     # instead of leaving the surviving workers polling a
@@ -399,9 +319,9 @@ class ThreadedSession(EngineSession):
                 self._cond.notify_all()
             if self._error is not None:
                 return
-            if owns_boundary:
+            if boundary is not None:
                 try:
-                    self._process_boundaries()
+                    self._process_boundaries(boundary)
                 except BaseException as exc:
                     with self._cond:
                         if self._error is None:
@@ -418,13 +338,11 @@ class ThreadedSession(EngineSession):
         the iteration while this task is still executing — or
         ``(None, 0)`` when the worker should exit.  Caller holds the lock.
         """
+        ledger = self._ledger
         while True:
-            if self._stopping or self._error is not None:
+            if ledger.stopping or self._error is not None:
                 return None, 0
-            if self._deadline is not None and time.monotonic() > self._deadline:
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_TIME_BUDGET
+            if ledger.over_budget(self._elapsed()):
                 self._cond.notify_all()
                 return None, 0
             if self._paused:
@@ -435,7 +353,7 @@ class ThreadedSession(EngineSession):
             if task is not None:
                 self._idle.discard(worker_index)
                 self._in_flight += 1
-                return task, self._iteration
+                return task, ledger.iteration
             self._idle.add(worker_index)
             if self._in_flight == 0 and len(self._idle) == self._engine.n_workers:
                 # Nobody holds a task and nobody can get one: no future
@@ -449,103 +367,63 @@ class ThreadedSession(EngineSession):
                 return None, 0
             self._cond.wait(timeout=IDLE_POLL_SECONDS)
 
-    def _execute_task(self, task: Task, iteration: int, is_gpu: bool) -> None:
+    def _execute_task(self, task: Task, iteration: int) -> None:
         """Apply one task's SGD updates (no lock held — see module docstring)."""
         engine = self._engine
         apply_task_updates(
-            engine.model,
-            engine.train,
-            task,
-            engine.schedule(iteration),
-            engine.training,
-            exact_kernel=engine.exact_kernel,
-            store=engine._store,
+            engine.model, engine._store, task, engine.schedule(iteration), engine.training
         )
-        if is_gpu and engine.gpu_latency_scale > 0 and engine.platform is not None:
+        if engine.gpu_latency_scale > 0 and engine.scheduler.is_gpu_worker(
+            task.worker_index
+        ):
             device = engine.platform.all_devices[task.worker_index]
             work = task.block_work(engine.training.latent_factors)
             time.sleep(device.process_time(work) * engine.gpu_latency_scale)
 
     def _book_completion(
-        self,
-        worker_index: int,
-        is_gpu: bool,
-        task: Task,
-        start: float,
-        end: float,
-    ) -> bool:
+        self, worker_index: int, task: Task, start: float, end: float
+    ) -> Optional[Boundary]:
         """Book a completed task (locked).
 
-        Returns ``True`` when this worker crossed an iteration boundary
-        and no other worker is already processing one: the caller must
-        then run :meth:`_process_boundaries` after releasing the lock.
+        Returns the advanced boundary when this worker crossed one and no
+        other worker is already processing one: the caller must then run
+        :meth:`_process_boundaries` after releasing the lock.
         """
-        self._engine.scheduler.complete_task(task)
         self._in_flight -= 1
-        self._points_completed += task.nnz
-        self._last_event = max(self._last_event, end)
-        self._trace.record_task(
-            TaskRecord(
-                worker_index=worker_index,
-                is_gpu=is_gpu,
-                start_time=start,
-                end_time=end,
-                points=task.nnz,
-                n_blocks=len(task.blocks),
-                stolen=task.stolen,
-                iteration=self._iteration,
-            )
-        )
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_TIME_BUDGET
-        if (
-            not self._stopping
-            and not self._boundary_busy
-            and self._points_completed >= self._iteration_target
-        ):
-            self._boundary_busy = True
-            return True
-        return False
+        self._ledger.complete_task(task, worker_index, start, end)
+        self._ledger.over_budget(self._elapsed())
+        if self._boundary_busy:
+            return None
+        return self._advance_locked()
 
-    def _process_boundaries(self) -> None:
-        """Process iteration boundaries, evaluating RMSE outside the lock.
+    def _advance_locked(self) -> Optional[Boundary]:
+        """Open the next due boundary and take ownership of it (locked).
 
-        Iterations complete when the cumulative processed ratings reach
-        the next multiple of the grid's total, with the same accounting
-        as the simulator (other tasks may be in flight across the
-        boundary there too).  The counter advance and the scheduler's
-        quota reset happen under the lock so the other workers move on to
-        the next iteration immediately; the O(test nnz) RMSE evaluation
-        happens *outside* it — it would buy no consistency anyway, since
-        in-flight kernels mutate the factors regardless.  Only one worker
-        owns boundary processing at a time (``_boundary_busy``), which
-        keeps the iteration records ordered.
+        The counter advance and the scheduler's quota reset happen under
+        the lock so the other workers move on to the next iteration
+        immediately; only one worker owns boundary processing at a time
+        (``_boundary_busy``), which keeps the iteration records ordered.
+        """
+        boundary = self._ledger.advance()
+        self._boundary_busy = boundary is not None
+        if boundary is not None and self._ledger.should_pause(boundary.epoch):
+            # Hold the run at this boundary: workers stop drawing new
+            # tasks and the in-flight remainder drains while the
+            # controller consumes the report.
+            self._paused = True
+        return boundary
+
+    def _process_boundaries(self, boundary: Boundary) -> None:
+        """Close owned boundaries, evaluating RMSE outside the lock.
+
+        The O(test nnz) RMSE evaluation happens *outside* the lock — it
+        would buy no consistency anyway, since in-flight kernels mutate
+        the factors regardless.  Iterations complete with the same
+        accounting as the simulator (other tasks may be in flight across
+        the boundary there too).
         """
         engine = self._engine
-        while True:
-            with self._cond:
-                if self._stopping or self._points_completed < self._iteration_target:
-                    self._boundary_busy = False
-                    self._cond.notify_all()
-                    return
-                index = self._iteration
-                points = self._points_completed
-                stamp = self._last_event
-                self._iteration += 1
-                self._iteration_target += self._total_points
-                engine.scheduler.start_iteration()
-                if self._should_pause(index):
-                    # Hold the run at this boundary: workers stop drawing
-                    # new tasks and the in-flight remainder drains while
-                    # the controller consumes the report.
-                    self._paused = True
-                else:
-                    # The quota reset unblocks the idle workers now — wake
-                    # them before the RMSE evaluation, not after it.
-                    self._cond.notify_all()
-
+        while boundary is not None:
             test_rmse = (
                 rmse(engine.model, engine.test) if engine.test is not None else None
             )
@@ -554,38 +432,9 @@ class ThreadedSession(EngineSession):
                 if engine.compute_train_rmse
                 else None
             )
-
             with self._cond:
-                self._trace.record_iteration(
-                    IterationRecord(
-                        iteration=index,
-                        simulated_time=stamp,
-                        train_rmse=train_rmse,
-                        test_rmse=test_rmse,
-                        points_processed=points,
-                    )
-                )
-                if self._target_rmse is not None and test_rmse is not None:
-                    if test_rmse <= self._target_rmse:
-                        self._converged = True
-                        self._trace.target_reached_at = stamp
-                        self._stopping = True
-                        if self._stop_reason is None:
-                            self._stop_reason = STOP_TARGET_RMSE
-                if self._iteration >= self._max_iterations and not self._stopping:
-                    self._stopping = True
-                    if self._stop_reason is None:
-                        self._stop_reason = STOP_ITERATIONS
-                self._reports.append(
-                    EpochReport(
-                        epoch=index,
-                        engine_time=stamp,
-                        train_rmse=train_rmse,
-                        test_rmse=test_rmse,
-                        points_processed=points,
-                        converged=self._converged,
-                    )
-                )
+                self._ledger.close(boundary, test_rmse, train_rmse)
+                boundary = self._advance_locked()
                 self._cond.notify_all()
 
 
@@ -613,8 +462,6 @@ class ThreadedEngine(Engine):
         Optional simulated platform description.  Only consulted for
         ``gpu_latency_scale``; when given, its worker count must match
         the scheduler's.
-    exact_kernel:
-        Use the exact per-rating kernel (slow; for small validation runs).
     compute_train_rmse:
         Also record training RMSE at iteration boundaries.
     gpu_latency_scale:
@@ -622,12 +469,6 @@ class ThreadedEngine(Engine):
         this fraction of its task's *simulated* device time after the
         numerical work, emulating device latency against real CPU
         threads.  Zero (the default) disables the emulation.
-    use_block_store:
-        Feed the kernels through the block-major data plane
-        (:class:`~repro.sparse.BlockStore`).  Disabling it restores the
-        legacy gather-per-task path — bitwise-identical, only slower —
-        which exists for benchmarking the data plane against its
-        predecessor.
     """
 
     backend_name = "threads"
@@ -641,10 +482,8 @@ class ThreadedEngine(Engine):
         model: Optional[FactorModel] = None,
         schedule: Optional[LearningRateSchedule] = None,
         platform: Optional[HeterogeneousPlatform] = None,
-        exact_kernel: bool = False,
         compute_train_rmse: bool = False,
         gpu_latency_scale: float = 0.0,
-        use_block_store: bool = True,
     ) -> None:
         if platform is not None and platform.n_workers != scheduler.n_workers:
             raise ExecutionError(
@@ -664,13 +503,12 @@ class ThreadedEngine(Engine):
         self.model = model or FactorModel.for_matrix(train, training)
         self.schedule = schedule or ConstantSchedule(training.learning_rate)
         self.platform = platform
-        self.exact_kernel = exact_kernel
         self.compute_train_rmse = compute_train_rmse
         self.gpu_latency_scale = gpu_latency_scale
         self.n_workers = scheduler.n_workers
         # Shared, immutable after materialisation; worker threads read it
         # concurrently without locking (see BlockStore's thread-safety note).
-        self._store = BlockStore(train) if use_block_store else None
+        self._store = BlockStore(train)
         self._started = False
 
     # ------------------------------------------------------------------ #

@@ -5,11 +5,12 @@ Implements the numerical core of the paper (Section II):
 * :class:`~repro.sgd.model.FactorModel` — the dense factor matrices
   ``P (m×k)`` and ``Q (k×n)`` with random initialisation, prediction and
   (de)serialisation;
-* :mod:`repro.sgd.kernels` — the kernel registry: an exact per-rating
+* :mod:`repro.sgd.kernels` — the SGD kernels: an exact per-rating
   reference kernel matching Algorithm 1, a vectorised mini-batch kernel
   over global indices, and the block-major ``minibatch_local`` kernel
   that consumes band-local pre-gathered data (bitwise-identical to the
-  global mini-batch kernel, selected by ``TrainingConfig(kernel=...)``);
+  global mini-batch kernel).  The engines select ``minibatch_local`` or
+  ``sequential`` by ``TrainingConfig(kernel=...)``;
 * :mod:`repro.sgd.losses` — the regularised squared loss of Equation 2,
   RMSE and MAE;
 * :mod:`repro.sgd.schedules` — learning-rate schedules, including the
@@ -39,7 +40,6 @@ from .kernels import (
     KERNEL_NAMES,
     KERNELS,
     get_kernel,
-    resolve_kernel_name,
     sgd_block_minibatch,
     sgd_block_minibatch_local,
     sgd_block_sequential,
@@ -68,7 +68,6 @@ __all__ = [
     "KERNEL_NAMES",
     "KERNELS",
     "get_kernel",
-    "resolve_kernel_name",
     "sgd_block_minibatch",
     "sgd_block_minibatch_local",
     "sgd_block_sequential",

@@ -12,45 +12,43 @@ each rating ``(u, v, r)`` in the block,
 
 (Equations 4-6 / Algorithm 1 lines 4-6).
 
-Three kernels are provided, selectable by name through the registry
-(:data:`KERNELS`, :func:`get_kernel`, :func:`resolve_kernel_name`):
+Three kernels are provided.  Two of them are the engines' selectable
+kernels, registered by name (:data:`KERNELS`, :func:`get_kernel`) and
+chosen with ``TrainingConfig(kernel=...)``:
 
 * :func:`sgd_block_sequential` (``"sequential"``) — the exact per-rating
   loop.  This is the numerical reference and the kernel used by the unit
   tests; it is slow in pure Python, so the engines only use it on small
   blocks or when exactness is requested.
-* :func:`sgd_block_minibatch` (``"minibatch"``) — a vectorised kernel
-  that processes the block in mini-batches over *global* row/column
-  indices: within one batch all errors are computed against the factor
-  values at the start of the batch, gradients of ratings touching the
-  same row/column are accumulated with ``np.add.at`` and applied
-  together.  This is the standard mini-batch relaxation of SGD; the
-  accepted substitution for the hand-tuned AVX/CUDA kernels of the paper
-  (see DESIGN.md), preserving the update rule while making epoch times
-  practical in numpy.
-* :func:`sgd_block_minibatch_local` (``"minibatch_local"``) — the
-  block-major production kernel.  It consumes *band-local* indices (as
-  pre-gathered once per run by :class:`repro.sparse.BlockStore`) and
-  scatters into band-slice views of ``P``/``Q``.  Every transformation
-  relative to ``sgd_block_minibatch`` is bitwise-identity-preserving —
-  same additions, same per-element order — so the two kernels produce
-  byte-identical factors (pinned by ``tests/test_kernel_registry.py``)
-  while the local kernel removes the dominant per-batch numpy overhead:
+* :func:`sgd_block_minibatch_local` (``"minibatch_local"``, the
+  default) — the block-major production kernel.  It consumes
+  *band-local* indices (as pre-gathered once per run by
+  :class:`repro.sparse.BlockStore`) and scatters into band-slice views
+  of ``P``/``Q``.
 
-  - multiplicities come from ``np.bincount`` over the small band-local
-    index space instead of two ``np.unique`` (sort) calls;
-  - the duplicate-averaging division is skipped when a batch has no
-    repeated entities (division by 1 is an exact no-op);
-  - the ``np.add.at`` scatters run on the *flattened* contiguous band
-    with element indices, hitting numpy's fast 1-D indexed-add loop
-    instead of the slow per-row 2-D dispatch (the per-slot add order is
-    unchanged, so the result is bit-for-bit the same);
-  - gradient arrays are written into per-call scratch buffers instead of
-    fresh temporaries on every batch.
+The third, :func:`sgd_block_minibatch`, processes a block in
+mini-batches over *global* row/column indices: within one batch all
+errors are computed against the factor values at the start of the
+batch, gradients of ratings touching the same row/column are accumulated
+with ``np.add.at`` and applied together.  This is the standard
+mini-batch relaxation of SGD; the accepted substitution for the
+hand-tuned AVX/CUDA kernels of the paper (see DESIGN.md), preserving the
+update rule while making epoch times practical in numpy.  The serial and
+Hogwild baselines call it directly.  The local kernel is a
+bitwise-identical restatement of it — same additions, same per-element
+order, pinned by ``tests/test_kernel_registry.py`` — that removes the
+dominant per-batch numpy overhead:
 
-``"auto"`` (the :class:`~repro.config.TrainingConfig` default) resolves
-to ``"minibatch_local"`` when block-major data is available and falls
-back to ``"minibatch"`` otherwise.
+- multiplicities come from ``np.bincount`` over the small band-local
+  index space instead of two ``np.unique`` (sort) calls;
+- the duplicate-averaging division is skipped when a batch has no
+  repeated entities (division by 1 is an exact no-op);
+- the ``np.add.at`` scatters run on the *flattened* contiguous band
+  with element indices, hitting numpy's fast 1-D indexed-add loop
+  instead of the slow per-row 2-D dispatch (the per-slot add order is
+  unchanged, so the result is bit-for-bit the same);
+- gradient arrays are written into per-call scratch buffers instead of
+  fresh temporaries on every batch.
 
 All kernels update ``P`` and ``Q`` in place and return the number of
 ratings processed so callers can account work.  Validation of shapes,
@@ -73,7 +71,6 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",  # canonical home: repro.config (re-exported here)
     "KERNELS",
     "get_kernel",
-    "resolve_kernel_name",
     "sgd_block_minibatch",
     "sgd_block_minibatch_local",
     "sgd_block_sequential",
@@ -479,63 +476,28 @@ def sgd_block_minibatch_local(
     return count
 
 
-#: The kernel registry: name -> callable.  ``"sequential"`` and
-#: ``"minibatch"`` take global COO arrays; ``"minibatch_local"``
-#: additionally takes band-local indices and the band ranges (the calling
-#: convention the engines satisfy through :class:`repro.sparse.BlockStore`).
+#: The kernel registry: name -> callable, one entry per
+#: :data:`repro.config.KERNEL_NAMES` value.  ``"sequential"`` takes global
+#: COO arrays; ``"minibatch_local"`` takes band-local indices and the band
+#: ranges (the calling convention the engines satisfy through
+#: :class:`repro.sparse.BlockStore`).
 KERNELS = {
     "sequential": sgd_block_sequential,
-    "minibatch": sgd_block_minibatch,
     "minibatch_local": sgd_block_minibatch_local,
 }
 
-if set(KERNELS) | {"auto"} != set(KERNEL_NAMES):  # pragma: no cover
+if tuple(sorted(KERNELS)) != tuple(sorted(KERNEL_NAMES)):  # pragma: no cover
     raise ImportError(
         "kernel registry out of sync with repro.config.KERNEL_NAMES: "
-        f"{sorted(KERNELS)} + 'auto' vs {KERNEL_NAMES}"
+        f"{sorted(KERNELS)} vs {KERNEL_NAMES}"
     )
 
 
 def get_kernel(name: str):
-    """Look up a kernel callable by registry name.
-
-    ``"auto"`` is a configuration-level alias, not a kernel; resolve it
-    with :func:`resolve_kernel_name` first.
-    """
+    """Look up a kernel callable by registry name."""
     try:
         return KERNELS[name]
     except KeyError:
         raise ConfigurationError(
-            f"kernel must be one of {tuple(sorted(KERNELS))}, got {name!r}"
-        ) from None
-
-
-def resolve_kernel_name(name: str, exact_kernel: bool = False) -> str:
-    """Resolve a configured kernel name to a concrete registry entry.
-
-    ``exact_kernel=True`` (the engines' validation switch) forces the
-    sequential reference kernel regardless of configuration; ``"auto"``
-    selects the active :class:`repro.tune.TunedProfile`'s calibrated
-    kernel when a profile is loaded (safe: every selectable mini-batch
-    kernel is bitwise-identical to the others, so the profile can only
-    change speed, never results) and defaults to the block-major local
-    kernel otherwise, which the engines feed through pre-validated
-    :class:`~repro.sparse.BlockStore` data (callers without block-major
-    data fall back to ``"minibatch"``, which is bitwise-identical).
-    """
-    if exact_kernel:
-        return "sequential"
-    if name == "auto":
-        # Lazy: repro.tune.profile re-exports config constants and must
-        # stay importable without the sgd package.
-        from ..tune.profile import profile_kernel
-
-        tuned = profile_kernel()
-        if tuned is not None:
-            return tuned
-        return "minibatch_local"
-    if name not in KERNELS:
-        raise ConfigurationError(
             f"kernel must be one of {KERNEL_NAMES}, got {name!r}"
-        )
-    return name
+        ) from None

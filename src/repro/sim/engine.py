@@ -38,26 +38,16 @@ from typing import Callable, List, Optional, Union
 
 from ..config import TrainingConfig
 from ..exceptions import CheckpointError, SimulationError
-from ..exec.base import (
-    Engine,
-    EngineResult,
-    apply_task_updates,
-    resolve_stopping_conditions,
-)
-from ..exec.session import (
-    STOP_ITERATIONS,
-    STOP_TARGET_RMSE,
-    STOP_TIME_BUDGET,
-    EngineSession,
-    EpochReport,
-)
+from ..exec.base import Engine, EngineResult, apply_task_updates
+from ..exec.ledger import EpochLedger
+from ..exec.session import EngineSession, EpochReport
 from ..hardware import HeterogeneousPlatform
 from ..sgd import FactorModel, rmse
 from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
 from ..sparse import BlockStore, SparseRatingMatrix
 from ..core.schedulers import Scheduler
 from ..core.tasks import Task
-from .trace import ExecutionTrace, IterationRecord, TaskRecord
+from .trace import ExecutionTrace
 
 
 @dataclass
@@ -72,15 +62,16 @@ class SimulationResult(EngineResult):
 class SimulationSession(EngineSession):
     """One simulated run, advanced to the next epoch boundary per ``step()``.
 
-    The session owns all mutable loop state — the completion-event heap,
-    the virtual clock, iteration accounting and the trace — while the
-    engine supplies the immutable run inputs (scheduler, platform, data,
-    kernels).  Pausing happens *between* events: boundary processing
-    defers the post-completion dispatch to the next ``step()`` call,
-    which keeps the sequence of scheduler and kernel calls of a stepped
-    run identical to an uninterrupted one (dispatching consumes the
-    scheduler's tie-break RNG, so its position in the call sequence is
-    part of the bitwise contract).
+    The session owns the completion-event heap and the idle set; epoch
+    accounting, the trace and stopping live in its
+    :class:`~repro.exec.ledger.EpochLedger`, whose last-completion stamp
+    is the virtual clock.  The engine supplies the immutable run inputs
+    (scheduler, platform, data, kernels).  Pausing happens *between*
+    events: boundary processing defers the post-completion dispatch to
+    the next ``step()`` call, which keeps the sequence of scheduler and
+    kernel calls of a stepped run identical to an uninterrupted one
+    (dispatching consumes the scheduler's tie-break RNG, so its position
+    in the call sequence is part of the bitwise contract).
     """
 
     def __init__(
@@ -91,35 +82,14 @@ class SimulationSession(EngineSession):
         max_simulated_time: Optional[float] = None,
     ) -> None:
         self._engine = engine
-        self._max_iterations = resolve_stopping_conditions(
-            iterations,
-            target_rmse,
-            max_simulated_time,
-            default_iterations=engine.training.iterations,
-            has_test=engine.test is not None,
-            error=SimulationError,
+        self._ledger = EpochLedger(
+            engine, iterations, target_rmse, max_simulated_time, error=SimulationError
         )
-        self._target_rmse = target_rmse
-        self._max_time = max_simulated_time
-        self._total_points = engine.scheduler.total_points
-        if self._total_points <= 0:
-            raise SimulationError("the scheduler's grid contains no ratings")
-
-        self._trace = ExecutionTrace(target_rmse=target_rmse)
         self._heap: list = []  # (end_time, sequence, worker_index, task)
         self._seq = 0
         self._idle: set = set()
-        self._now = 0.0
-        self._points_completed = 0
-        self._iteration = 0
-        self._iteration_target = self._total_points
-        self._converged = False
-        self._stopping = False
-        self._stop_reason: Optional[str] = None
         self._started = False
-        self._finished = False
         self._result: Optional[SimulationResult] = None
-        self._pending_reports: List[EpochReport] = []
         #: Workers whose post-completion dispatch was deferred across an
         #: epoch-boundary pause (``None`` when no dispatch is owed).
         self._pending_dispatch: Optional[List[int]] = None
@@ -133,15 +103,16 @@ class SimulationSession(EngineSession):
 
     @property
     def epoch(self) -> int:
-        return self._iteration
+        return self._ledger.iteration
 
     @property
     def done(self) -> bool:
-        return self._finished or (self._stopping and not self._pending_reports)
+        ledger = self._ledger
+        return self._result is not None or (ledger.stopping and not ledger.reports)
 
     @property
     def trace(self) -> ExecutionTrace:
-        return self._trace
+        return self._ledger.trace
 
     @property
     def backend_name(self) -> str:
@@ -152,25 +123,18 @@ class SimulationSession(EngineSession):
         return self._started
 
     def stop(self, reason: str = "callback") -> None:
-        if not self._stopping:
-            self._stopping = True
-            self._stop_reason = reason
+        self._ledger.stop(reason)
 
     def step(self) -> Optional[EpochReport]:
-        if self._pending_reports:
-            return self._pending_reports.pop(0)
-        if self._finished or self._stopping:
+        ledger = self._ledger
+        if ledger.reports:
+            return ledger.reports.pop(0)
+        if self._result is not None or ledger.stopping:
             return None
         if not self._started:
             self._started = True
             self._prime()
-        if self._iteration >= self._max_iterations:
-            # Only reachable on a restored session: a checkpoint taken at
-            # (or past) this run's epoch cap has nothing left to do.  A
-            # live run sets _stopping at the boundary that reaches the cap.
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_ITERATIONS
+        if ledger.at_cap():
             return None
         while True:
             if self._pending_dispatch is not None:
@@ -178,30 +142,18 @@ class SimulationSession(EngineSession):
             if not self._heap:
                 return None
             self._advance_one_event()
-            if self._pending_reports:
-                return self._pending_reports.pop(0)
-            if self._stopping:
+            if ledger.reports:
+                return ledger.reports.pop(0)
+            if ledger.stopping:
                 return None
 
     def finish(self) -> SimulationResult:
-        if self._result is not None:
-            return self._result
-        self._finished = True
-        # Drain in-flight tasks without applying them (the run has ended).
-        while self._heap:
-            _, _, _, task = heapq.heappop(self._heap)
-            self._engine.scheduler.abort_task(task)
-        self._trace.final_time = self._now
-        if self._stop_reason is None:
-            self._stop_reason = (
-                STOP_ITERATIONS if self._iteration >= self._max_iterations else "aborted"
-            )
-        self._result = SimulationResult(
-            model=self._engine.model,
-            trace=self._trace,
-            converged=self._converged,
-            stop_reason=self._stop_reason,
-        )
+        if self._result is None:
+            # Drain in-flight tasks without applying them (the run has ended).
+            while self._heap:
+                _, _, _, task = heapq.heappop(self._heap)
+                self._engine.scheduler.abort_task(task)
+            self._result = self._ledger.result(SimulationResult, self._engine.model)
         return self._result
 
     # ------------------------------------------------------------------ #
@@ -210,19 +162,19 @@ class SimulationSession(EngineSession):
     def _prime(self) -> None:
         self._engine.scheduler.start_iteration()
         for worker_index in range(self._engine.scheduler.n_workers):
-            self._dispatch(worker_index, 0.0)
+            self._dispatch(worker_index)
         if not self._heap:
             raise SimulationError(
                 "no worker could be given an initial task; the grid is too "
                 "coarse for the worker count"
             )
 
-    def _dispatch(self, worker_index: int, start_time: float) -> bool:
+    def _dispatch(self, worker_index: int) -> bool:
         task = self._engine.scheduler.next_task(worker_index)
         if task is None:
             self._idle.add(worker_index)
             return False
-        end_time = start_time + self._engine._task_duration(task)
+        end_time = self._ledger.last_completion + self._engine._task_duration(task)
         heapq.heappush(self._heap, (end_time, self._seq, worker_index, task))
         self._seq += 1
         self._idle.discard(worker_index)
@@ -232,9 +184,9 @@ class SimulationSession(EngineSession):
         """Give freed workers new work, then retry idlers: a completion
         may have released the bands or quota they were waiting for."""
         for worker_index in freed_workers:
-            self._dispatch(worker_index, self._now)
+            self._dispatch(worker_index)
         for waiting in sorted(self._idle):
-            self._dispatch(waiting, self._now)
+            self._dispatch(waiting)
         if not self._heap and self._idle:
             raise SimulationError(
                 "all workers are idle with work remaining; the grid or "
@@ -248,34 +200,22 @@ class SimulationSession(EngineSession):
 
     def _advance_one_event(self) -> None:
         engine = self._engine
+        ledger = self._ledger
         end_time, _, worker_index, task = heapq.heappop(self._heap)
-        self._now = end_time
-        if self._max_time is not None and self._now > self._max_time:
+        if ledger.over_budget(end_time):
             engine.scheduler.abort_task(task)
-            self._stopping = True
-            self._stop_reason = STOP_TIME_BUDGET
             return
 
-        engine._apply_task(task, self._iteration)
-        engine.scheduler.complete_task(task)
-        self._points_completed += task.nnz
-        self._trace.record_task(
-            TaskRecord(
-                worker_index=worker_index,
-                is_gpu=engine.scheduler.is_gpu_worker(worker_index),
-                start_time=end_time - engine._task_duration(task),
-                end_time=end_time,
-                points=task.nnz,
-                n_blocks=len(task.blocks),
-                stolen=task.stolen,
-                iteration=self._iteration,
-            )
+        engine._apply_task(task, ledger.iteration)
+        ledger.complete_task(
+            task,
+            worker_index,
+            start=end_time - engine._task_duration(task),
+            end=end_time,
         )
 
-        # Iteration boundaries (possibly several if a huge task crossed
-        # more than one, which only happens on degenerate tiny grids).
         crossed_boundary = False
-        while self._points_completed >= self._iteration_target and not self._stopping:
+        while (boundary := ledger.advance()) is not None:
             crossed_boundary = True
             test_rmse = (
                 rmse(engine.model, engine.test) if engine.test is not None else None
@@ -285,39 +225,7 @@ class SimulationSession(EngineSession):
                 if engine.compute_train_rmse
                 else None
             )
-            self._trace.record_iteration(
-                IterationRecord(
-                    iteration=self._iteration,
-                    simulated_time=self._now,
-                    train_rmse=train_rmse,
-                    test_rmse=test_rmse,
-                    points_processed=self._points_completed,
-                )
-            )
-            report_epoch = self._iteration
-            self._iteration += 1
-            self._iteration_target += self._total_points
-            engine.scheduler.start_iteration()
-
-            if self._target_rmse is not None and test_rmse is not None:
-                if test_rmse <= self._target_rmse:
-                    self._converged = True
-                    self._trace.target_reached_at = self._now
-                    self._stopping = True
-                    self._stop_reason = STOP_TARGET_RMSE
-            if self._iteration >= self._max_iterations and not self._stopping:
-                self._stopping = True
-                self._stop_reason = STOP_ITERATIONS
-            self._pending_reports.append(
-                EpochReport(
-                    epoch=report_epoch,
-                    engine_time=self._now,
-                    train_rmse=train_rmse,
-                    test_rmse=test_rmse,
-                    points_processed=self._points_completed,
-                    converged=self._converged,
-                )
-            )
+            ledger.close(boundary, test_rmse, train_rmse)
 
         if crossed_boundary:
             # Pause point: defer the post-completion dispatch so the
@@ -329,7 +237,7 @@ class SimulationSession(EngineSession):
             # higher epoch cap replays the uninterrupted schedule.
             self._pending_dispatch = [worker_index]
             return
-        if self._stopping:
+        if ledger.stopping:
             return
         self._dispatch_completions([worker_index])
 
@@ -337,20 +245,16 @@ class SimulationSession(EngineSession):
     # Checkpoint support
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:
-        return {
-            "iteration": self._iteration,
-            "iteration_target": self._iteration_target,
-            "points_completed": self._points_completed,
-            "now": self._now,
-            "seq": self._seq,
-            "converged": self._converged,
-            "idle_workers": sorted(int(w) for w in self._idle),
-            "pending_dispatch": (
+        return dict(
+            self._ledger.state_dict(),
+            seq=self._seq,
+            idle_workers=sorted(int(w) for w in self._idle),
+            pending_dispatch=(
                 None
                 if self._pending_dispatch is None
                 else [int(w) for w in self._pending_dispatch]
             ),
-            "in_flight": [
+            in_flight=[
                 {
                     "end_time": float(end_time),
                     "seq": int(seq),
@@ -364,10 +268,7 @@ class SimulationSession(EngineSession):
                 }
                 for end_time, seq, worker_index, task in sorted(self._heap)
             ],
-            "pending_reports": [
-                report.to_state() for report in self._pending_reports
-            ],
-        }
+        )
 
     def load_state_dict(self, state: dict) -> None:
         if self._started:
@@ -376,12 +277,8 @@ class SimulationSession(EngineSession):
             )
         self._started = True  # the restored state replaces priming
         engine = self._engine
-        self._iteration = int(state["iteration"])
-        self._iteration_target = int(state["iteration_target"])
-        self._points_completed = int(state["points_completed"])
-        self._now = float(state["now"])
+        self._ledger.load_state_dict(state, in_flight_ok=True)
         self._seq = int(state["seq"])
-        self._converged = bool(state["converged"])
         self._idle = {int(w) for w in state["idle_workers"]}
         for entry in state["in_flight"]:
             blocks = [
@@ -408,9 +305,6 @@ class SimulationSession(EngineSession):
                 w for w in range(engine.scheduler.n_workers) if w not in self._idle
             ]
         self._pending_dispatch = None if pending is None else [int(w) for w in pending]
-        self._pending_reports = [
-            EpochReport.from_state(report) for report in state["pending_reports"]
-        ]
 
 
 class SimulationEngine(Engine):
@@ -435,17 +329,12 @@ class SimulationEngine(Engine):
         otherwise).
     schedule:
         Learning-rate schedule; constant by default.
-    exact_kernel:
-        Use the exact per-rating kernel (slow; for small validation runs).
     compute_train_rmse:
         Also record training RMSE at iteration boundaries.
-    use_block_store:
-        Feed the kernels through the block-major data plane
-        (:class:`~repro.sparse.BlockStore`: per-block contiguous,
-        band-local, validated-once arrays).  Disabling it restores the
-        legacy gather-per-task path — bitwise-identical, only slower —
-        which exists for benchmarking the data plane against its
-        predecessor.
+
+    The kernels are fed through the block-major data plane
+    (:class:`~repro.sparse.BlockStore`: per-block contiguous, band-local,
+    validated-once arrays); ``training.kernel`` selects the kernel.
     """
 
     backend_name = "simulate"
@@ -459,9 +348,7 @@ class SimulationEngine(Engine):
         test: Optional[SparseRatingMatrix] = None,
         model: Optional[FactorModel] = None,
         schedule: Optional[LearningRateSchedule] = None,
-        exact_kernel: bool = False,
         compute_train_rmse: bool = False,
-        use_block_store: bool = True,
     ) -> None:
         if platform.n_workers != scheduler.n_workers:
             raise SimulationError(
@@ -475,10 +362,9 @@ class SimulationEngine(Engine):
         self.training = training
         self.model = model or FactorModel.for_matrix(train, training)
         self.schedule = schedule or ConstantSchedule(training.learning_rate)
-        self.exact_kernel = exact_kernel
         self.compute_train_rmse = compute_train_rmse
         self._devices = platform.all_devices
-        self._store = BlockStore(train) if use_block_store else None
+        self._store = BlockStore(train)
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -487,13 +373,7 @@ class SimulationEngine(Engine):
     def _apply_task(self, task: Task, iteration: int) -> None:
         """Apply the SGD updates of one task to the shared factor model."""
         apply_task_updates(
-            self.model,
-            self.train,
-            task,
-            self.schedule(iteration),
-            self.training,
-            exact_kernel=self.exact_kernel,
-            store=self._store,
+            self.model, self._store, task, self.schedule(iteration), self.training
         )
 
     def _task_duration(self, task: Task) -> float:

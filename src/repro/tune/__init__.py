@@ -7,7 +7,7 @@ machine and packaging the answers into a :class:`TunedProfile` — a
 versioned, machine-fingerprinted JSON document that resolves every
 ``"auto"`` tunable in the stack:
 
-* training ``backend`` / ``workers`` / ``batch_size`` / ``kernel``
+* training ``backend`` / ``workers`` / ``batch_size``
   (:class:`~repro.config.TrainingConfig`,
   :func:`~repro.exec.registry.resolve_backend_name`);
 * serving ``chunk_items`` and the coalescing ``batch_size``
@@ -37,7 +37,6 @@ from .profile import (
     TrainingTunables,
     TunedProfile,
     active_profile,
-    profile_kernel,
     resolve_foldin_batch_users,
     resolve_foldin_gram_chunk,
     resolve_serving_batch_size,
@@ -57,7 +56,6 @@ __all__ = [
     "TunedProfile",
     "TuneOutcome",
     "active_profile",
-    "profile_kernel",
     "resolve_foldin_batch_users",
     "resolve_foldin_gram_chunk",
     "resolve_serving_batch_size",

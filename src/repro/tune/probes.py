@@ -21,8 +21,7 @@ Five probe sections, one per tunable family:
     Wall-clock :func:`~repro.sgd.kernels.sgd_block_minibatch` sweeps per
     mini-batch candidate over geometric data prefixes; a linear CPU cost
     model is fitted on all but the largest prefix and judged on the
-    largest.  Also times the (bitwise-identical) ``minibatch`` vs
-    ``minibatch_local`` kernels to pin the faster one.
+    largest.
 ``backend``
     Small end-to-end :func:`~repro.core.factorize` runs per execution
     backend and worker count.  The "prediction" is the naive linear
@@ -80,7 +79,7 @@ from ..serve.bench import measure_chunked, synthetic_model
 from ..serve.scorer import DEFAULT_CHUNK_ITEMS
 from ..serve.service import DEFAULT_SERVICE_BATCH
 from ..sgd.foldin import _GRAM_CHUNK_ELEMENTS
-from ..sgd.kernels import sgd_block_minibatch, sgd_block_minibatch_local
+from ..sgd.kernels import sgd_block_minibatch
 from .profile import (
     PROFILE_SCHEMA_VERSION,
     ServingTunables,
@@ -232,14 +231,14 @@ def probe_cost_models(
 
 
 # --------------------------------------------------------------------------- #
-# Section 2: training mini-batch size and kernel
+# Section 2: training mini-batch size
 # --------------------------------------------------------------------------- #
 def probe_train_kernel(
     quick: bool, seed: int
-) -> Tuple[Dict[str, Any], int, str, Dict[str, float]]:
-    """Sweep mini-batch candidates over geometric prefixes; pin the kernel.
+) -> Tuple[Dict[str, Any], int, Dict[str, float]]:
+    """Sweep mini-batch candidates over geometric prefixes.
 
-    Returns ``(section, batch_size, kernel, acceptance)`` where
+    Returns ``(section, batch_size, acceptance)`` where
     ``acceptance`` carries the full-size default vs resolved times.
     """
     n_ratings = 20_000 if quick else 60_000
@@ -289,49 +288,11 @@ def probe_train_kernel(
     if full_measured[DEFAULT_BATCH_SIZE] < full_measured[chosen]:
         chosen = DEFAULT_BATCH_SIZE
 
-    # Kernel pin: the mini-batch pair is bitwise-identical, so timing is
-    # the only thing at stake.  No prediction — report the measurement.
-    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
-    kernel_times = {}
-
-    def time_kernel(fn, *args, **kwargs) -> float:
-        def one() -> float:
-            p, q = p0.copy(), q0.copy()
-            start = time.perf_counter()
-            fn(p, q, *args, batch_size=chosen, **kwargs)
-            return time.perf_counter() - start
-
-        return _best_of(one, repeats)
-
-    kernel_times["minibatch"] = time_kernel(
-        sgd_block_minibatch, rows, cols, vals, 0.005, 0.02, 0.02
-    )
-    kernel_times["minibatch_local"] = time_kernel(
-        sgd_block_minibatch_local,
-        rows,
-        cols,
-        vals,
-        0.005,
-        0.02,
-        0.02,
-        row_range=(0, m),
-        col_range=(0, n),
-    )
-    kernel = min(kernel_times, key=kernel_times.get)
-    for name, seconds in sorted(kernel_times.items()):
-        probes.append(
-            {
-                "config": {"kernel": name, "points": matrix.nnz},
-                "predicted_s": 0.0,
-                "measured_s": float(seconds),
-                "predict_error": 0.0,
-            }
-        )
     acceptance = {
         "default_s": full_measured[DEFAULT_BATCH_SIZE],
         "resolved_s": full_measured[chosen],
     }
-    return _section("train_batch", probes, gated=True), chosen, kernel, acceptance
+    return _section("train_batch", probes, gated=True), chosen, acceptance
 
 
 # --------------------------------------------------------------------------- #
@@ -558,7 +519,6 @@ def _default_knobs() -> Dict[str, Any]:
             "backend": "threads",
             "workers": 1,
             "batch_size": DEFAULT_BATCH_SIZE,
-            "kernel": "minibatch_local",
         },
         "serving": {
             "chunk_items": DEFAULT_CHUNK_ITEMS,
@@ -610,10 +570,9 @@ def run_tune(
     if enabled("costmodel"):
         report["costmodel"], alpha = probe_cost_models(quick, seed)
     if enabled("train_batch"):
-        section, batch, kernel, acc = probe_train_kernel(quick, seed)
+        section, batch, acc = probe_train_kernel(quick, seed)
         report["train_batch"] = section
         knobs["training"]["batch_size"] = batch
-        knobs["training"]["kernel"] = kernel
         acceptance_sections["train_batch"] = acc
     if enabled("backend"):
         section, backend, workers, acc = probe_backend(quick, seed)

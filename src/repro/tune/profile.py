@@ -14,7 +14,6 @@ tunable                      resolution point
 training ``backend``         :func:`repro.exec.registry.resolve_backend_name`
 training ``workers``         :func:`resolve_workers` (CLI ``--workers auto``)
 training ``batch_size``      :attr:`repro.config.TrainingConfig.effective_batch_size`
-training ``kernel``          :func:`repro.sgd.kernels.resolve_kernel_name`
 serving ``chunk_items``      :class:`repro.serve.Scorer` / ``RecommendationService`` / ``ServiceConfig``
 serving ``batch_size``       :class:`repro.serve.RecommendationService` / ``ServiceConfig``
 stream gram chunk            :func:`repro.sgd.foldin.solve_fold_in`
@@ -41,26 +40,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Union
 
-from ..config import AUTO_TUNABLE, DEFAULT_BATCH_SIZE, KERNEL_NAMES
+from ..config import AUTO_TUNABLE, DEFAULT_BATCH_SIZE
 from ..exceptions import ConfigurationError
 
 #: Version of the on-disk profile schema.  Bump on incompatible change;
 #: ``TunedProfile.from_dict`` rejects mismatches rather than guessing.
-PROFILE_SCHEMA_VERSION = 1
+#: Version 2 dropped the training ``kernel`` knob: every engine-selectable
+#: kernel is a distinct numerical choice, not a speed setting.
+PROFILE_SCHEMA_VERSION = 2
 
 #: The sentinel every autotunable knob accepts (re-exported from
 #: :mod:`repro.config`, the import-cycle-free home).
 AUTO = AUTO_TUNABLE
-
-#: Kernels a profile may pin for ``kernel="auto"``: only the mini-batch
-#: pair, which are bitwise-identical to each other — so a profile can
-#: change training *speed* but never training *results*.  The
-#: ``"sequential"`` reference kernel is a numerical contract, not a
-#: performance choice, and stays reachable only by explicit request.
-_CONCRETE_KERNELS = tuple(
-    name for name in KERNEL_NAMES if name not in (AUTO, "sequential")
-)
-
 
 def _require_positive_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
@@ -79,7 +70,6 @@ class TrainingTunables:
     backend: str = "threads"
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
-    kernel: str = "minibatch_local"
 
     def __post_init__(self) -> None:
         if not self.backend or not isinstance(self.backend, str) or self.backend == AUTO:
@@ -88,10 +78,6 @@ class TrainingTunables:
             )
         _require_positive_int(self.workers, "profile workers")
         _require_positive_int(self.batch_size, "profile batch_size")
-        if self.kernel not in _CONCRETE_KERNELS:
-            raise ConfigurationError(
-                f"profile kernel must be one of {_CONCRETE_KERNELS}, got {self.kernel!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -166,17 +152,14 @@ class TunedProfile:
     # ------------------------------------------------------------------ #
     # Resolution
     # ------------------------------------------------------------------ #
-    def resolve_backend(
-        self, n_workers: Optional[int] = None, use_block_store: bool = True
-    ) -> str:
+    def resolve_backend(self, n_workers: Optional[int] = None) -> str:
         """The backend this profile picks for a run of ``n_workers``.
 
         The profile's choice is still sanity-bounded by the same
         platform facts the no-profile heuristic checks: ``"processes"``
-        demotes to ``"threads"`` for single-worker runs, for the legacy
-        gather path (``use_block_store=False``, which only threads
-        implement), and on platforms without shared-memory
-        multiprocessing — so a profile calibrated on a big machine still
+        demotes to ``"threads"`` for single-worker runs and on platforms
+        without shared-memory multiprocessing — so a profile calibrated
+        on a big machine still
         resolves to a *legal* configuration on a 1-core container.
         """
         choice = self.training.backend
@@ -185,7 +168,7 @@ class TunedProfile:
         workers = n_workers if n_workers is not None else self.training.workers
         from ..exec.process import process_backend_supported
 
-        if workers > 1 and use_block_store and process_backend_supported():
+        if workers > 1 and process_backend_supported():
             return "processes"
         return "threads"
 
@@ -371,16 +354,3 @@ def resolve_foldin_batch_users(default: int, profile=_UNSET) -> int:
     if resolved is not None:
         return resolved.stream.foldin_batch_users
     return default
-
-
-def profile_kernel(profile=_UNSET) -> Optional[str]:
-    """The profile's concrete kernel for ``kernel="auto"``, else ``None``.
-
-    ``None`` tells :func:`repro.sgd.kernels.resolve_kernel_name` to use
-    its built-in default (``"minibatch_local"``) — the pinned no-profile
-    behaviour.
-    """
-    resolved = _effective(profile)
-    if resolved is not None:
-        return resolved.training.kernel
-    return None

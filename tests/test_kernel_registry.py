@@ -2,11 +2,9 @@
 
 The contract under test is strong: ``sgd_block_minibatch_local`` is a
 *bitwise-identical* restatement of ``sgd_block_minibatch`` over the
-block's own coordinate frame, and the engines' block-major data plane
-(``kernel="auto"`` + :class:`repro.sparse.BlockStore`) is a
-bitwise-identical replacement for the legacy gather-per-task path.
-Every parity assertion below is ``assert_array_equal`` — exact equality,
-no tolerances.
+block's own coordinate frame, and every accepted ``kernel`` value
+selects its own kernel.  Every parity assertion below is
+``assert_array_equal`` — exact equality, no tolerances.
 """
 
 import numpy as np
@@ -20,13 +18,11 @@ from repro.core import GreedyBlockScheduler, HeterogeneousTrainer
 from repro.core.partition import uniform_partition
 from repro.exceptions import ConfigurationError, InvalidMatrixError
 from repro.hardware import HeterogeneousPlatform, paper_machine_preset
-from repro.exec import ThreadedEngine
 from repro.sgd import (
     KERNEL_NAMES,
     KERNELS,
     FactorModel,
     get_kernel,
-    resolve_kernel_name,
     sgd_block_minibatch,
     sgd_block_minibatch_local,
     sgd_block_sequential,
@@ -47,33 +43,27 @@ def _skewed_block(seed, nnz=4_000, band_rows=120, band_cols=18, offset=(40, 7)):
 
 class TestRegistry:
     def test_names_match_config(self):
-        assert set(KERNELS) | {"auto"} == set(CONFIG_KERNEL_NAMES)
+        assert set(KERNELS) == set(CONFIG_KERNEL_NAMES)
         assert KERNEL_NAMES == CONFIG_KERNEL_NAMES
 
     def test_get_kernel(self):
         assert get_kernel("sequential") is sgd_block_sequential
-        assert get_kernel("minibatch") is sgd_block_minibatch
         assert get_kernel("minibatch_local") is sgd_block_minibatch_local
-        with pytest.raises(ConfigurationError):
-            get_kernel("auto")  # config alias, not a registry entry
-        with pytest.raises(ConfigurationError):
-            get_kernel("cuda")
+        for retired in ("auto", "minibatch", "cuda"):
+            with pytest.raises(ConfigurationError):
+                get_kernel(retired)
 
     def test_resolution(self):
-        assert resolve_kernel_name("auto") == "minibatch_local"
-        assert resolve_kernel_name("minibatch") == "minibatch"
-        assert resolve_kernel_name("sequential") == "sequential"
-        assert resolve_kernel_name("auto", exact_kernel=True) == "sequential"
-        assert resolve_kernel_name("minibatch", exact_kernel=True) == "sequential"
-        with pytest.raises(ConfigurationError):
-            resolve_kernel_name("warp")
+        # One accepted name per kernel: no two names select the same one.
+        kernels = [get_kernel(name) for name in CONFIG_KERNEL_NAMES]
+        assert len(set(kernels)) == len(CONFIG_KERNEL_NAMES)
 
     def test_training_config_kernel_validation(self):
-        assert TrainingConfig().kernel == "auto"
-        assert TrainingConfig(kernel="minibatch").kernel == "minibatch"
+        assert TrainingConfig().kernel == "minibatch_local"
         assert TrainingConfig().with_kernel("sequential").kernel == "sequential"
-        with pytest.raises(ConfigurationError):
-            TrainingConfig(kernel="warp")
+        for retired in ("auto", "minibatch", "warp"):
+            with pytest.raises(ConfigurationError):
+                TrainingConfig(kernel=retired)
 
 
 class TestLocalKernelBitwiseParity:
@@ -295,125 +285,50 @@ class TestScatterStaysInBand:
 
 
 class TestEngineLevelParity:
-    """kernel='auto' + BlockStore  ==  pre-PR minibatch path, bitwise."""
-
-    def _one_worker_engines(self, train, test, training, kernel, use_block_store):
-        grid = uniform_partition(train, 3, 3)
-        scheduler = GreedyBlockScheduler(grid, 1, 0, seed=0)
-        platform = HeterogeneousPlatform.from_preset(
-            HardwareConfig(cpu_threads=1, gpu_count=0),
-            paper_machine_preset().scaled(1e-3),
-        )
-        sim = SimulationEngine(
-            scheduler=scheduler, platform=platform, train=train,
-            training=training.with_kernel(kernel), test=test,
-            use_block_store=use_block_store,
-        )
-        return sim
-
-    def test_simulate_auto_matches_legacy_minibatch_path(
-        self, small_split, small_training
-    ):
-        train, test = small_split
-        new = self._one_worker_engines(
-            train, test, small_training, "auto", True
-        ).run(iterations=3)
-        legacy = self._one_worker_engines(
-            train, test, small_training, "minibatch", False
-        ).run(iterations=3)
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
-        assert [r.test_rmse for r in new.trace.iterations] == [
-            r.test_rmse for r in legacy.trace.iterations
-        ]
-
-    def test_threaded_auto_matches_legacy_minibatch_path(
-        self, small_split, small_training
-    ):
-        train, test = small_split
-
-        def run(kernel, use_block_store):
-            grid = uniform_partition(train, 3, 3)
-            scheduler = GreedyBlockScheduler(grid, 1, 0, seed=0)
-            engine = ThreadedEngine(
-                scheduler=scheduler, train=train,
-                training=small_training.with_kernel(kernel), test=test,
-                use_block_store=use_block_store,
-            )
-            return engine.run(iterations=3)
-
-        new = run("auto", True)
-        legacy = run("minibatch", False)
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
+    """The engines' kernel selection, end to end."""
 
     def test_trainer_kernel_override_plumbs_through(
         self, small_split, small_hardware, small_training, scaled_preset
     ):
         train, test = small_split
 
-        def fit(kernel, use_block_store=True):
+        def fit(kernel=None):
             trainer = HeterogeneousTrainer(
                 algorithm="hsgd_star", hardware=small_hardware,
                 training=small_training, preset=scaled_preset, seed=0,
             )
-            return trainer.fit(
-                train, test, iterations=2, kernel=kernel,
-                use_block_store=use_block_store,
-            )
+            return trainer.fit(train, test, iterations=2, kernel=kernel)
 
-        new = fit("auto")
-        legacy = fit("minibatch", use_block_store=False)
+        default = fit()
+        forced = fit("minibatch_local")
         # The simulate backend is deterministic even with many workers,
         # so the full fit pipeline must agree bit for bit.
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
-        with pytest.raises(ConfigurationError):
-            fit("warp")
+        np.testing.assert_array_equal(default.model.p, forced.model.p)
+        np.testing.assert_array_equal(default.model.q, forced.model.q)
+        exact = fit("sequential")
+        assert not np.array_equal(default.model.p, exact.model.p)
+        for retired in ("minibatch", "warp"):
+            with pytest.raises(ConfigurationError):
+                fit(retired)
 
-    def test_explicit_local_kernel_without_store_rejected(
-        self, small_split, small_hardware, small_training, scaled_preset
-    ):
-        """An explicitly forced local kernel must not be silently swapped
-        for the global one when the block store is disabled; only "auto"
-        degrades gracefully."""
+    def test_sequential_kernel_selects_reference(self, small_split, small_training):
+        """kernel="sequential" must run the Algorithm 1 reference: on a
+        one-block grid a 1-worker epoch is one sequential sweep."""
         train, test = small_split
-        trainer = HeterogeneousTrainer(
-            algorithm="hsgd_star", hardware=small_hardware,
-            training=small_training, preset=scaled_preset, seed=0,
-        )
-        with pytest.raises(ConfigurationError, match="block-major data plane"):
-            trainer.fit(
-                train, test, iterations=1, kernel="minibatch_local",
-                use_block_store=False,
-            )
-        # "auto" without a store falls back to the bitwise-identical
-        # global kernel instead of failing.
-        result = trainer.fit(
-            train, test, iterations=1, kernel="auto", use_block_store=False,
-        )
-        assert result.final_test_rmse is not None
-
-    def test_exact_kernel_still_overrides(self, small_split, small_training):
-        """exact_kernel=True must force the sequential reference regardless
-        of the configured kernel, store or not."""
-        train, test = small_split
-        grid_a = uniform_partition(train, 2, 2)
-        grid_b = uniform_partition(train, 2, 2)
+        training = small_training.with_kernel("sequential")
         platform = HeterogeneousPlatform.from_preset(
             HardwareConfig(cpu_threads=1, gpu_count=0),
             paper_machine_preset().scaled(1e-3),
         )
-        with_store = SimulationEngine(
-            scheduler=GreedyBlockScheduler(grid_a, 1, 0, seed=0),
-            platform=platform, train=train, training=small_training,
-            test=test, exact_kernel=True,
+        result = SimulationEngine(
+            scheduler=GreedyBlockScheduler(uniform_partition(train, 1, 1), 1, 0, seed=0),
+            platform=platform, train=train, training=training, test=test,
         ).run(iterations=1)
-        without_store = SimulationEngine(
-            scheduler=GreedyBlockScheduler(grid_b, 1, 0, seed=0),
-            platform=platform, train=train, training=small_training,
-            test=test, exact_kernel=True, use_block_store=False,
-        ).run(iterations=1)
-        np.testing.assert_array_equal(
-            with_store.model.p, without_store.model.p
+
+        reference = FactorModel.for_matrix(train, training)
+        sgd_block_sequential(
+            reference.p, reference.q, train.rows, train.cols, train.vals,
+            training.learning_rate, training.reg_p, training.reg_q,
         )
+        np.testing.assert_array_equal(result.model.p, reference.p)
+        np.testing.assert_array_equal(result.model.q, reference.q)

@@ -8,7 +8,7 @@ from repro import exceptions
 
 class TestExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

@@ -625,21 +625,15 @@ class TestResultDedup:
         result = trainer.fit(train, test, iterations=2)
         assert isinstance(result, TrainResult)
         assert isinstance(result, EngineResult)
-        # engine_time is the canonical name; simulated_time the
-        # deprecated alias, which must both warn and keep returning the
-        # same value until it is removed.
-        with pytest.warns(DeprecationWarning, match="engine_time"):
-            alias = result.simulated_time
-        assert result.engine_time == alias == result.trace.final_time
+        assert result.engine_time == result.trace.final_time
         assert result.time_to_rmse(10.0) is not None
         assert result.stop_reason == "iterations"
 
     def test_engine_result_exposes_engine_time(self, small_split, small_training, scaled_preset):
         train, test = small_split
         outcome = _sim_engine(train, test, small_training, scaled_preset).run(iterations=1)
-        with pytest.warns(DeprecationWarning, match="simulated_time is deprecated"):
-            alias = outcome.simulated_time
-        assert outcome.engine_time == alias
+        assert outcome.engine_time == outcome.trace.final_time
+        assert not hasattr(outcome, "simulated_time")
         assert outcome.time_to_rmse(0.0) is None
 
 
@@ -665,17 +659,6 @@ class TestFactorizeParity:
             compute_train_rmse=True,
         )
         assert all(r.train_rmse is not None for r in result.trace.iterations)
-
-    def test_use_block_store_off_is_bitwise_identical(self, small_split, small_hardware, small_training, scaled_preset):
-        train, test = small_split
-        kwargs = dict(
-            algorithm="hsgd", hardware=small_hardware, training=small_training,
-            preset=scaled_preset, iterations=2,
-        )
-        with_store = factorize(train, test, **kwargs)
-        without = factorize(train, test, use_block_store=False, **kwargs)
-        np.testing.assert_array_equal(with_store.model.p, without.model.p)
-        np.testing.assert_array_equal(with_store.model.q, without.model.q)
 
     def test_factorize_callbacks_and_resume(self, small_split, small_hardware, small_training, scaled_preset, tmp_path):
         train, test = small_split

@@ -5,14 +5,14 @@ Four properties carry the PR's guarantees:
 1. **No-profile behaviour is pinned bitwise-unchanged**: with no active
    profile every ``"auto"`` knob resolves exactly as it did before
    autotuning existed (``resolve_backend_name``'s heuristic matrix,
-   ``minibatch_local``, ``DEFAULT_BATCH_SIZE``, ``DEFAULT_CHUNK_ITEMS``,
+   ``DEFAULT_BATCH_SIZE``, ``DEFAULT_CHUNK_ITEMS``,
    the fold-in Gram constant) — and passing ``profile=None`` explicitly
    forces that path even when a profile *is* installed.
 2. **Profiles round-trip exactly** through JSON (``loads(dumps(p)) ==
    p``) and reject malformed payloads loudly.
 3. **Profiles change speed, never results**: the fold-in solver is
    bitwise-identical across Gram-chunk ceilings, the scorer across
-   chunk widths, and a profile can never pin the ``sequential`` kernel.
+   chunk widths, and a profile has no kernel knob to pin.
 4. **The CI gate bites**: ``compare_tune`` fails on error-budget
    breaches, on ``acceptance.met`` false, and on relative tuning-win
    erosion — and passes a healthy payload.
@@ -37,7 +37,6 @@ from repro.serve.scorer import DEFAULT_CHUNK_ITEMS, Scorer
 from repro.serve.service import DEFAULT_SERVICE_BATCH, RecommendationService
 from repro.service.server import ServiceConfig
 from repro.sgd.foldin import _GRAM_CHUNK_ELEMENTS
-from repro.sgd.kernels import resolve_kernel_name
 from repro.tune import (
     AUTO,
     ServingTunables,
@@ -81,7 +80,7 @@ def profile():
     return TunedProfile(
         fingerprint={"machine": "testbox"},
         training=TrainingTunables(
-            backend="processes", workers=4, batch_size=1024, kernel="minibatch"
+            backend="processes", workers=4, batch_size=1024
         ),
         serving=ServingTunables(chunk_items=2048, batch_size=128),
         stream=StreamTunables(gram_chunk_elements=750_000, foldin_batch_users=64),
@@ -111,7 +110,7 @@ class TestProfileSerialization:
         profile.dump(path)
         payload = json.loads(path.read_text())
         assert payload["training"]["backend"] == "processes"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fields"):
@@ -120,6 +119,9 @@ class TestProfileSerialization:
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(ConfigurationError, match="schema version"):
             TunedProfile.from_dict({"schema_version": 99})
+        # Version 1 carried the retired training ``kernel`` knob.
+        with pytest.raises(ConfigurationError, match="schema version"):
+            TunedProfile.from_dict({"schema_version": 1})
 
     def test_malformed_nested_section_rejected(self):
         with pytest.raises(ConfigurationError, match="malformed profile"):
@@ -134,10 +136,11 @@ class TestProfileSerialization:
             TrainingTunables(backend="auto")
 
     def test_profile_rejects_sequential_kernel(self):
-        # ``sequential`` is a numerical contract, not a speed choice; a
-        # profile pinning it would change training results.
+        # Every engine kernel is a numerical choice, not a speed choice;
+        # a profile pinning one would change training results, so a
+        # profile has no kernel knob at all.
         with pytest.raises(ConfigurationError, match="kernel"):
-            TrainingTunables(kernel="sequential")
+            TunedProfile.from_dict({"training": {"kernel": "sequential"}})
 
     def test_profile_rejects_nonpositive_knobs(self):
         with pytest.raises(ConfigurationError):
@@ -176,10 +179,6 @@ class TestNoProfilePinning:
         assert resolve_backend_name("auto", n_workers=4) == "processes"
         assert resolve_backend_name("auto", n_workers=1) == "threads"
         assert resolve_backend_name("auto", n_workers=None) == "threads"
-        assert (
-            resolve_backend_name("auto", n_workers=4, use_block_store=False)
-            == "threads"
-        )
         assert resolve_backend_name("simulate", n_workers=8) == "simulate"
 
     def test_explicit_none_profile_forces_heuristic(self, profile):
@@ -190,16 +189,11 @@ class TestNoProfilePinning:
             assert (
                 resolve_backend_name("auto", n_workers=4, profile=None) == "processes"
             )
-            assert (
-                resolve_backend_name(
-                    "auto", n_workers=4, use_block_store=False, profile=None
-                )
-                == "threads"
-            )
 
-    def test_kernel_default_unchanged(self):
-        assert resolve_kernel_name("auto") == "minibatch_local"
-        assert resolve_kernel_name("auto", exact_kernel=True) == "sequential"
+    def test_kernel_default_unchanged(self, profile):
+        assert TrainingConfig().kernel == "minibatch_local"
+        with use_profile(profile):
+            assert TrainingConfig().kernel == "minibatch_local"
 
     def test_training_batch_default_unchanged(self):
         assert TrainingConfig().effective_batch_size == DEFAULT_BATCH_SIZE
@@ -243,7 +237,6 @@ class TestProfileResolution:
     def test_training_knobs_resolve_through_profile(self, profile):
         with use_profile(profile):
             assert TrainingConfig(batch_size=AUTO).effective_batch_size == 1024
-            assert resolve_kernel_name("auto") == "minibatch"
             assert resolve_workers(AUTO, 1) == 4
         # Explicit integers always win over the profile.
         with use_profile(profile):
@@ -256,10 +249,6 @@ class TestProfileResolution:
             # A multi-worker profile choice still demotes for runs the
             # process backend cannot serve.
             assert resolve_backend_name("auto", n_workers=1) == "threads"
-            assert (
-                resolve_backend_name("auto", n_workers=4, use_block_store=False)
-                == "threads"
-            )
             # Concrete names bypass the profile entirely.
             assert resolve_backend_name("simulate", n_workers=8) == "simulate"
 
@@ -337,7 +326,6 @@ class TestRunTune:
         with use_profile(profile):
             backend = resolve_backend_name("auto", n_workers=None)
             assert backend in ("threads", "processes")
-            assert resolve_kernel_name("auto") in ("minibatch", "minibatch_local")
             assert TrainingConfig(batch_size=AUTO).effective_batch_size >= 1
         payload = outcome.payload
         sections = payload["tune"]["sections"]
@@ -368,7 +356,6 @@ class TestRunTune:
         assert list(outcome.payload["tune"]["sections"]) == ["serve_chunk"]
         # Unprobed subsystems keep their documented defaults.
         assert outcome.profile.training.batch_size == DEFAULT_BATCH_SIZE
-        assert outcome.profile.training.kernel == "minibatch_local"
         assert outcome.profile.stream.gram_chunk_elements == _GRAM_CHUNK_ELEMENTS
 
     def test_costmodel_probe_validates_out_of_sample(self):
